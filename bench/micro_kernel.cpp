@@ -17,28 +17,14 @@
  * CCSIM_KERNEL_GATE_RATIO, default 1.0) — the CI perf-trajectory job's
  * regression gate.
  *
- * A second section measures the channel-sharded runner on ONE big
- * simulation (8 cores x 4 channels): serial calendar vs the scaling
- * curve shardThreads ∈ {1, 2, 4, 8}, appended to the same
- * BENCH_kernel.json record (the `shard` object, hw_threads stamped)
- * with bit-equality of the simulated cycles asserted across every
- * width. CCSIM_SHARD_GATE=1 fails the run when the 2-thread sharded
- * speedup drops below CCSIM_SHARD_GATE_RATIO (default 1.3) — enforcing
- * on runners with >= 4 hardware threads, advisory-only on exactly 3
- * (CCSIM_SHARD_GATE_ADVISORY can keep 3-thread hosts green), and
- * auto-skipped below 3 where coordinator + 2 workers cannot run in
- * parallel. On hosts with >= 5 hardware threads the gate additionally
- * requires speedup_t4 >= CCSIM_SHARD_GATE_RATIO_T4 (default 2.0).
- *
- * Scale via CCSIM_KERNEL_INSTS (default 40000 insts/core),
- * CCSIM_SHARD_INSTS (default 60000) and CCSIM_THREADS.
+ * Scale via CCSIM_KERNEL_INSTS (default 40000 insts/core) and
+ * CCSIM_THREADS.
  */
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hh"
@@ -128,94 +114,10 @@ serialSweep(const std::vector<Point> &points, sim::KernelMode kernel,
     return best;
 }
 
-/**
- * Channel-sharded single-simulation sweep: ONE 8-core 4-channel run,
- * serial calendar vs the scaling curve shardThreads ∈ {1, 2, 4, 8},
- * best-of-repeat walls. Simulated cycles must agree bit for bit
- * across every width. (8 threads clamps to the 4 channels — the
- * point records that over-subscription costs nothing.)
- */
-struct ShardSweep {
-    std::uint64_t insts = 0;
-    double serialWall = 0.0;
-    double wallT1 = 0.0;
-    double wallT2 = 0.0;
-    double wallT4 = 0.0;
-    double wallT8 = 0.0;
-    std::uint64_t simCycles = 0;
-
-    double
-    speedup(double wall) const
-    {
-        return serialWall > 0 && wall > 0 ? serialWall / wall : 0.0;
-    }
-};
-
-sim::SystemResult
-runShardPoint(int shard_threads, std::uint64_t insts)
-{
-    sim::SimConfig cfg = sim::SimConfig::eightCore();
-    cfg.channels = 4; // The sharding axis: one worker per channel pair.
-    cfg.scheme = sim::Scheme::ChargeCache;
-    cfg.targetInsts = insts;
-    cfg.warmupInsts = insts / 8;
-    cfg.shardThreads = shard_threads;
-    cfg.finalizeChargeCache();
-    sim::System system(cfg, workloads::mixWorkloads(1, cfg.nCores));
-    return system.run();
-}
-
-ShardSweep
-shardSweep(std::uint64_t insts)
-{
-    const std::uint64_t repeat =
-        std::max<std::uint64_t>(1, envU64("CCSIM_KERNEL_REPEAT", 1));
-    ShardSweep s;
-    s.insts = insts;
-    struct Case {
-        int threads;
-        double ShardSweep::*wall;
-        const char *label;
-    };
-    const Case cases[] = {{0, &ShardSweep::serialWall, "shard serial"},
-                          {1, &ShardSweep::wallT1, "shard 1 thread"},
-                          {2, &ShardSweep::wallT2, "shard 2 threads"},
-                          {4, &ShardSweep::wallT4, "shard 4 threads"},
-                          {8, &ShardSweep::wallT8, "shard 8 threads"}};
-    for (const Case &c : cases) {
-        double best = 0.0;
-        std::uint64_t cycles = 0;
-        for (std::uint64_t r = 0; r < repeat; ++r) {
-            auto start = std::chrono::steady_clock::now();
-            sim::SystemResult res = runShardPoint(c.threads, insts);
-            auto end = std::chrono::steady_clock::now();
-            double wall =
-                std::chrono::duration<double>(end - start).count();
-            if (r == 0 || wall < best)
-                best = wall;
-            cycles = res.cpuCycles;
-        }
-        s.*(c.wall) = best;
-        if (s.simCycles == 0)
-            s.simCycles = cycles;
-        else if (s.simCycles != cycles) {
-            std::fprintf(stderr,
-                         "ERROR: sharded run (%d threads) disagrees on "
-                         "simulated cycles\n",
-                         c.threads);
-            std::exit(1);
-        }
-        std::printf("%-24s %8.2fs  %12.0f cycles/s\n", c.label, best,
-                    best > 0 ? double(cycles) / best : 0.0);
-    }
-    return s;
-}
-
 void
 writeRecord(std::FILE *f, std::size_t points, std::uint64_t insts,
             const Timed &percycle, const Timed &eventskip,
-            const Timed &calendar, const Timed &parallel,
-            const ShardSweep &shard)
+            const Timed &calendar, const Timed &parallel)
 {
     std::fprintf(
         f,
@@ -227,14 +129,7 @@ writeRecord(std::FILE *f, std::size_t points, std::uint64_t insts,
         "\"parallel_calendar\": {\"wall_s\": %.4f, \"cycles_per_s\": %.0f}, "
         "\"sim_cycles\": %llu, "
         "\"calendar_vs_eventskip\": %.3f, "
-        "\"kernel_speedup\": %.3f, \"total_speedup\": %.3f, "
-        "\"shard\": {\"insts_per_core\": %llu, \"hw_threads\": %u, "
-        "\"advisory\": %s, "
-        "\"serial_wall_s\": %.4f, \"t1_wall_s\": %.4f, "
-        "\"t2_wall_s\": %.4f, \"t4_wall_s\": %.4f, "
-        "\"t8_wall_s\": %.4f, \"sim_cycles\": %llu, "
-        "\"speedup_t1\": %.3f, \"speedup_t2\": %.3f, "
-        "\"speedup_t4\": %.3f, \"speedup_t8\": %.3f}}\n",
+        "\"kernel_speedup\": %.3f, \"total_speedup\": %.3f}\n",
         points, (unsigned long long)insts,
         sim::ParallelRunner::defaultThreads(), percycle.wallSeconds,
         percycle.cyclesPerSecond(), eventskip.wallSeconds,
@@ -250,19 +145,7 @@ writeRecord(std::FILE *f, std::size_t points, std::uint64_t insts,
             : 0.0,
         percycle.wallSeconds > 0 && parallel.wallSeconds > 0
             ? percycle.wallSeconds / parallel.wallSeconds
-            : 0.0,
-        (unsigned long long)shard.insts,
-        std::thread::hardware_concurrency(),
-        // On a 1-hw-thread host the sharded timings are pure handshake
-        // overhead (speedup_t2 ~ 0.05), not a scaling signal: mark the
-        // record advisory so trajectory consumers and the future
-        // enforcing CCSIM_SHARD_GATE never ingest it.
-        std::thread::hardware_concurrency() < 2 ? "true" : "false",
-        shard.serialWall, shard.wallT1,
-        shard.wallT2, shard.wallT4, shard.wallT8,
-        (unsigned long long)shard.simCycles, shard.speedup(shard.wallT1),
-        shard.speedup(shard.wallT2), shard.speedup(shard.wallT4),
-        shard.speedup(shard.wallT8));
+            : 0.0);
 }
 
 } // namespace
@@ -306,21 +189,6 @@ main()
     std::printf("%-24s %8.2fs  %12.0f cycles/s\n", "parallel calendar",
                 parallel_cal.wallSeconds, parallel_cal.cyclesPerSecond());
 
-    std::printf("\nchannel-sharded single simulation (8 cores x 4 "
-                "channels, %llu insts/core, %u hw threads):\n",
-                (unsigned long long)envU64("CCSIM_SHARD_INSTS", 60000),
-                std::thread::hardware_concurrency());
-    ShardSweep shard = shardSweep(envU64("CCSIM_SHARD_INSTS", 60000));
-    std::printf("sharded speedup curve:     %.2fx / %.2fx / %.2fx / "
-                "%.2fx (1 / 2 / 4 / 8 threads)\n",
-                shard.speedup(shard.wallT1), shard.speedup(shard.wallT2),
-                shard.speedup(shard.wallT4), shard.speedup(shard.wallT8));
-    if (std::thread::hardware_concurrency() < 3)
-        std::printf("note: %u hardware threads — the sharded runner "
-                    "needs coordinator + workers in parallel to win; "
-                    "numbers above measure protocol overhead only.\n",
-                    std::thread::hardware_concurrency());
-
     double kernel_speedup =
         serial_cal.wallSeconds > 0
             ? serial_percycle.wallSeconds / serial_cal.wallSeconds
@@ -350,7 +218,7 @@ main()
 
     const std::string record = bench::captureRecord([&](std::FILE *f) {
         writeRecord(f, points.size(), insts, serial_percycle, serial_event,
-                    serial_cal, parallel_cal, shard);
+                    serial_cal, parallel_cal);
     });
     if (!resilience::tryAtomicWriteFile("BENCH_kernel.json", record)) {
         std::fprintf(stderr, "cannot write BENCH_kernel.json\n");
@@ -383,58 +251,5 @@ main()
                     cal_vs_event, tol);
     }
 
-    // Sharded-speedup gate: the 2-thread sharded run of one big
-    // simulation must beat serial by CCSIM_SHARD_GATE_RATIO, and with
-    // enough hardware the 4-thread run must clear
-    // CCSIM_SHARD_GATE_RATIO_T4. Skipped automatically when the host
-    // cannot run coordinator + 2 workers in parallel (the protocol can
-    // only cost there). The gate ENFORCES on >= 4 hardware threads;
-    // on exactly 3, CCSIM_SHARD_GATE_ADVISORY=1 downgrades a failure
-    // to a printed verdict (the coordinator and both workers share
-    // cores there, so the margin is noise-dominated).
-    if (envU64("CCSIM_SHARD_GATE", 0)) {
-        const unsigned hw = std::thread::hardware_concurrency();
-        const double tol = envF64("CCSIM_SHARD_GATE_RATIO", 1.3);
-        const bool advisory =
-            hw < 4 && envU64("CCSIM_SHARD_GATE_ADVISORY", 0);
-        if (hw < 3) {
-            std::printf("shard gate skipped: only %u hardware "
-                        "threads\n",
-                        hw);
-            return 0;
-        }
-        bool failed = false;
-        if (shard.speedup(shard.wallT2) < tol) {
-            std::fprintf(stderr,
-                         "GATE %s: sharded 2-thread speedup %.3fx "
-                         "< %.3fx on the 8-core 4-channel run\n",
-                         advisory ? "ADVISORY-FAIL (not enforced)"
-                                  : "FAILED",
-                         shard.speedup(shard.wallT2), tol);
-            failed = true;
-        }
-        // The 4-thread point needs coordinator + 4 workers; only
-        // demand scaling when the host can actually run them.
-        const double tol4 = envF64("CCSIM_SHARD_GATE_RATIO_T4", 2.0);
-        if (hw >= 5 && shard.speedup(shard.wallT4) < tol4) {
-            std::fprintf(stderr,
-                         "GATE %s: sharded 4-thread speedup %.3fx "
-                         "< %.3fx on the 8-core 4-channel run\n",
-                         advisory ? "ADVISORY-FAIL (not enforced)"
-                                  : "FAILED",
-                         shard.speedup(shard.wallT4), tol4);
-            failed = true;
-        }
-        if (failed) {
-            if (!advisory)
-                return 2;
-        } else {
-            std::printf("shard gate passed: %.2fx at 2 threads "
-                        "(threshold %.2f), %.2fx at 4 threads "
-                        "(threshold %.2f, enforced at >= 5 hw)\n",
-                        shard.speedup(shard.wallT2), tol,
-                        shard.speedup(shard.wallT4), tol4);
-        }
-    }
     return 0;
 }

@@ -14,7 +14,6 @@
  *   CCSIM_CKPT_INTERVAL  autosave period, CPU cycles (default 200000)
  *   CCSIM_RESUME         1 = restore CCSIM_SNAPSHOT before running
  *   CCSIM_RESUME_KERNEL  percycle | eventskip | calendar (default)
- *   CCSIM_RESUME_SHARDS  shardThreads for the run (default 0 = serial)
  *   CCSIM_INSTS          instructions/core after warm-up (default 60000)
  *   CCSIM_SLOWDOWN_US    optional per-autosave sleep, microseconds —
  *                        stretches wall-clock so a CI kill lands
@@ -94,8 +93,7 @@ writeResult(const std::string &path, const sim::SystemResult &res)
     u64("writes", res.ctrl.writes);
     u64("read_latency_sum", res.ctrl.readLatencySum);
     num("energy_total_nj", res.energy.totalNj());
-    json += std::string(", \"degraded\": ") +
-            (res.degraded ? "true" : "false") + "}\n";
+    json += "}\n";
     resilience::atomicWriteFile(path, json);
     std::fputs(json.c_str(), stdout);
 }
@@ -120,8 +118,6 @@ main()
         cfg.targetInsts = sim::envU64("CCSIM_INSTS", 60000);
         cfg.warmupInsts = cfg.targetInsts / 8;
         cfg.kernel = parseKernel(envStr("CCSIM_RESUME_KERNEL", "calendar"));
-        cfg.shardThreads =
-            static_cast<int>(sim::envU64("CCSIM_RESUME_SHARDS", 0));
         cfg.finalizeChargeCache();
 
         const std::vector<std::string> workloads{"mcf", "libquantum"};

@@ -7,9 +7,8 @@
  * Error-contract audit (see also src/resilience/error.hh):
  *
  *  - CCSIM_PANIC / CCSIM_ASSERT are for *invariants* — conditions that
- *    can only be false if the simulator itself is buggy (protocol
- *    violations in the shard runner, impossible component state,
- *    internal bookkeeping mismatches). They throw PanicError with
+ *    can only be false if the simulator itself is buggy (impossible
+ *    component state, internal bookkeeping mismatches). They throw PanicError with
  *    source location; no caller is expected to recover.
  *  - Anything triggered by *input* — user configuration, environment
  *    variables, trace files, snapshot files, the filesystem — throws
@@ -126,8 +125,8 @@ void setQuiet(bool quiet);
 
 /**
  * Structured, rate-limited log statement:
- *   CCSIM_LOG(LogLevel::Warn, "shard", "ring full on channel ", ch);
- * emits "[warn] shard: ring full on channel 3". Formatting is skipped
+ *   CCSIM_LOG(LogLevel::Warn, "sweep", "retrying point ", i);
+ * emits "[warn] sweep: retrying point 3". Formatting is skipped
  * when the level is filtered; each call site self-limits after
  * detail::kLogSiteLimit messages.
  */

@@ -77,7 +77,7 @@ class Core
      * core and stalls them (beginShootdown). Fires inside the
      * initiator's tick, which only ever touches *other* cores — the
      * wake machinery (externalWake / calNoteWake) keeps the result
-     * identical across all kernels and the sharded coordinator.
+     * identical across all kernels.
      */
     using ShootdownHook = std::function<void(int initiator,
                                              std::uint32_t asid,
@@ -117,47 +117,8 @@ class Core
      * completing window entries behind an incomplete head is invisible
      * until retire or issue can move, which is what lets the event
      * kernels batch a burst of returns into a single wake.
-     *
-     * Internally a tick is two phases — `tickLocal` (core-private
-     * state only) then, when a shared-LLC access was deferred,
-     * `tickShared` — composed so that tick() is bit-identical to the
-     * historical monolithic body. The sharded runner exploits the
-     * split: worker threads run tickLocal for their channel-affinity
-     * core group in parallel, and the coordinator finishes only the
-     * cores whose issue actually reached the shared LLC.
      */
     bool tick(CpuCycle now);
-
-    /**
-     * Phase 1 of a tick: shootdown stall accounting, scheduled-return
-     * delivery, translation timers, in-order retire, and issue up to
-     * the first access that must touch the shared LLC (data access or
-     * PTE fetch). Touches nothing outside this core, its MMU and its
-     * trace source, so tickLocal of distinct cores may run on distinct
-     * threads. When an access was deferred, `pendingShared()` is true
-     * and `tickShared` must run (same cycle, any thread) before the
-     * next tick; otherwise the tick is complete and the return value
-     * is its progress.
-     *
-     * Not safe under multi-process VM: a page walk finishing in
-     * another core's tickShared can broadcast a TLB shootdown into
-     * this core mid-phase, so the sharded runner keeps the core phase
-     * coordinator-serial when `vm.mp` is enabled.
-     */
-    bool tickLocal(CpuCycle now);
-
-    /**
-     * Phase 2: resume the issue loop at the deferred LLC access and
-     * finish the tick (stall classification, wake-flag clear). Only
-     * valid while `pendingShared()`; returns the full tick's progress.
-     */
-    bool tickShared(CpuCycle now);
-
-    /** True between a deferring tickLocal and its tickShared. */
-    bool pendingShared() const { return pendingShared_; }
-
-    /** Progress of the most recently completed tick. */
-    bool lastTickProgress() const { return tickProgress_; }
 
     /** Completion for an LLC miss issued with `token`. */
     void onMissComplete(std::uint64_t token);
@@ -282,7 +243,6 @@ class Core
         Blocked,    ///< LLC rejected an access (data or PTE).
         XlatStep,   ///< Translation advanced (progress, ends the cycle).
         XlatWait,   ///< Translation waiting on scheduled/external data.
-        NeedsShared, ///< Shared-LLC access deferred to tickShared.
     };
 
     /** Translation state of the current memory record (VM mode). */
@@ -296,8 +256,6 @@ class Core
     IssueResult issueOne(CpuCycle now);
     IssueResult advanceTranslation(CpuCycle now);
     IssueResult issuePte(CpuCycle now);
-    IssueResult issueLoop(CpuCycle now, bool &progressed);
-    void finishTick(IssueResult last, bool progressed);
 
     int id_;
     CoreConfig config_;
@@ -334,20 +292,6 @@ class Core
     bool targetRecorded_ = false;
     StallKind stallKind_ = StallKind::None;
     bool wakePending_ = false;
-
-    /**
-     * Mid-tick split state (never live across cycles, so none of it
-     * is checkpointed — saveState asserts the core is between ticks):
-     * a tickLocal that reached an `llc_.access` site stops with
-     * pendingShared_ set, leaving the remaining issue slots in
-     * issueSlot_ and the progress so far in tickProgress_; tickShared
-     * re-enters issueOne — idempotent at the stop point, since
-     * nothing was mutated after the last commit — with deferral off.
-     */
-    bool deferShared_ = false;  ///< issueOne defers at LLC accesses.
-    bool pendingShared_ = false; ///< Deferred access awaits tickShared.
-    int issueSlot_ = 0;          ///< Remaining issue-width slots.
-    bool tickProgress_ = false;  ///< Progress of the last finished tick.
 
     /** Shootdown IPI stall deadline (0 = none; cleared by the first
         tick at or past it). */

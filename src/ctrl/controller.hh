@@ -164,62 +164,6 @@ class MemoryController : public MemPort
     }
 
     /**
-     * Earliest cycle at which a tick will hand read data back to the
-     * requester (kNoCycle when no read is in flight). Completion times
-     * are fixed at issue time, so between two ticks this horizon can
-     * only be *raised* by the controller itself — the property the
-     * channel-sharded kernel's free-run window relies on: a shard may
-     * tick autonomously up to (but excluding) this cycle without any
-     * callback crossing threads.
-     */
-    Cycle
-    nextDeliveryAt() const
-    {
-        return pending_.empty() ? kNoCycle : pending_.top().done;
-    }
-
-    /**
-     * Lower bound on the cycle at which a *queued* (not yet issued)
-     * read could hand data back, given that any read needs at least
-     * `lmin` cycles between command issue and data delivery (the
-     * caller passes tCL + tBL, the minimum CAS-to-data distance).
-     * kNoCycle when no read is queued. The scheduler never issues
-     * before nextServeTry_, so issue >= max(now, nextServeTry_) and
-     * delivery >= issue + lmin. Unlike nextDeliveryAt() this bound can
-     * move backwards across enqueues, so the sharded kernel must
-     * re-read it after every command it relays — it is a per-epoch
-     * bound, not a monotone horizon.
-     */
-    Cycle
-    readIssueBoundAt(Cycle lmin) const
-    {
-        if (readCount() == 0)
-            return kNoCycle;
-        Cycle issue = nextServeTry_ > now_ ? nextServeTry_ : now_;
-        if (issue >= kNoCycle - lmin)
-            return kNoCycle;
-        return issue + lmin;
-    }
-
-    /**
-     * Completion routing for the channel-sharded kernel: when a sink is
-     * installed, tick() passes finished read data to it instead of
-     * invoking `req.complete()` directly. The sharded runner uses this
-     * to capture (request, done-cycle) pairs on the shard thread and
-     * replay the callbacks on the coordinator in serial channel order.
-     * Raw function pointer + context, mirroring Request::Callback.
-     */
-    using CompletionSink = void (*)(void *ctx, const Request &req,
-                                    Cycle done);
-
-    void
-    setCompletionSink(CompletionSink sink, void *ctx)
-    {
-        completionSink_ = sink;
-        completionCtx_ = ctx;
-    }
-
-    /**
      * Skip `n` provably-idle ticks: requires nextEventAt() >= now() + n.
      * Equivalent to calling tick() n times when each of those ticks
      * would have been pure clock advance.
@@ -499,8 +443,6 @@ class MemoryController : public MemPort
     std::uint64_t tokenSeq_ = 1;
     /** Queue state changed outside a tick; see consumeHorizonDirty(). */
     bool horizonDirty_ = true;
-    CompletionSink completionSink_ = nullptr;
-    void *completionCtx_ = nullptr;
     CtrlStats stats_;
 #if CCSIM_OBS
     obs::CtrlHists *obsHists_ = nullptr; ///< Telemetry histograms.

@@ -2,11 +2,9 @@
  * @file
  * Abstract request-acceptance interface between the cache hierarchy and
  * a memory channel. The LLC routes through a MemPort instead of a
- * concrete MemoryController so a channel can live on another thread:
- * the serial kernels hand the LLC the controllers themselves, the
- * channel-sharded kernel (sim::ShardedRunner) hands it per-channel
- * proxy ports that relay enqueues over SPSC queues and answer
- * canAccept() from a mirrored queue-occupancy snapshot.
+ * concrete MemoryController so it can be driven without one: System
+ * hands it the controllers themselves, while tests and standalone
+ * layer benchmarks substitute stub ports.
  */
 
 #ifndef CCSIM_CTRL_PORT_HH

@@ -62,9 +62,8 @@ class Llc
 
     /**
      * @param route maps a channel index to its memory port — the
-     *        controller itself in the serial kernels, or a shard proxy
-     *        (sim::ShardedRunner) when the channel lives on another
-     *        thread.
+     *        channel's controller in a System, a stub port in tests
+     *        and standalone layer benchmarks.
      * @param on_miss_complete completion notification for Miss results.
      */
     Llc(const LlcConfig &config, const dram::AddressMapper &mapper,

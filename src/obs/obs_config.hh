@@ -10,8 +10,8 @@
  *
  * The determinism contract: telemetry *reads* simulation state at
  * quiescent points, it never perturbs the schedule — simulated results
- * are bit-identical with telemetry on or off, across every kernel and
- * shard width (enforced by tests/test_obs.cc).
+ * are bit-identical with telemetry on or off, across every kernel
+ * (enforced by tests/test_obs.cc).
  */
 
 #ifndef CCSIM_OBS_OBS_CONFIG_HH
@@ -42,13 +42,12 @@ struct ObsConfig {
 
     /**
      * Simulated-time spans in the trace-event file (pid 1): bank
-     * ACT->PRE windows, refresh, core park/wake, free-run epochs.
+     * ACT->PRE windows, refresh, core park/wake.
      */
     bool simTrace = false;
 
     /**
-     * Host wall-clock spans (pid 2): coordinator vs worker phases,
-     * shard handshakes, sampled-simulation stages.
+     * Host wall-clock spans (pid 2): sampled-simulation stages.
      */
     bool hostTrace = false;
 

@@ -8,9 +8,8 @@ namespace ccsim::obs {
 namespace {
 
 // Simulated-time (pid kPidSim) track layout: cores on tids 0..N-1,
-// the shard free-run track on 500, bank windows and refresh on
-// per-channel blocks above 10000 (see docs/observability.md).
-constexpr int kTidFreeRun = 500;
+// bank windows and refresh on per-channel blocks above 10000 (see
+// docs/observability.md).
 
 int
 bankTid(int channel, int rank, int bank)
@@ -155,15 +154,6 @@ Telemetry::corePark(int core, CpuCycle skipped, CpuCycle upto)
         return;
     sink_.complete(kPidSim, core, "parked", "core",
                    cpuUs(upto - skipped), cpuUs(upto) - cpuUs(upto - skipped));
-}
-
-void
-Telemetry::freeRunEpoch(CpuCycle from, CpuCycle upto)
-{
-    if (!simTraceOn() || upto <= from)
-        return;
-    sink_.complete(kPidSim, kTidFreeRun, "free-run epoch", "shard",
-                   cpuUs(from), cpuUs(upto) - cpuUs(from));
 }
 
 Histogram

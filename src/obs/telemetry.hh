@@ -8,9 +8,8 @@
  * quiescent points the kernels already know how to reach (the same
  * settle/quiesce machinery checkpoints use), so enabling any of it
  * leaves the simulated schedule bit-identical. Histograms are
- * per-channel / per-core objects so sharded workers write their own
- * channel's histograms with no cross-thread sharing; merge*() folds
- * them after the run (or a quiesce) in fixed channel/core order.
+ * per-channel / per-core objects; merge*() folds them after the run
+ * (or a quiesce) in fixed channel/core order.
  */
 
 #ifndef CCSIM_OBS_TELEMETRY_HH
@@ -43,8 +42,7 @@ struct CtrlHists {
 /**
  * Per-channel CommandListener turning the DRAM command stream into
  * simulated-time spans: one track per bank (ACT -> precharge window),
- * one per-channel refresh track. Attached only when simTrace is on;
- * each instance is touched only by its channel's owning thread.
+ * one per-channel refresh track. Attached only when simTrace is on.
  */
 class BankSpanTracer : public ctrl::CommandListener
 {
@@ -125,8 +123,6 @@ class Telemetry
 
     /** Park span for a core that slept [upto - skipped, upto]. */
     void corePark(int core, CpuCycle skipped, CpuCycle upto);
-    /** Shard free-run epoch [from, upto] (coordinator side). */
-    void freeRunEpoch(CpuCycle from, CpuCycle upto);
 
     // ----- Merged histograms (fixed channel/core order) -----
 

@@ -6,13 +6,12 @@
  *
  *   pid 1 ("simulated time") — timestamps are simulated microseconds
  *     (CPU cycles / 4000 at the paper's 4 GHz clock): bank ACT->PRE
- *     windows, refresh, core park spans, shard free-run epochs.
+ *     windows, refresh, core park spans.
  *   pid 2 ("host wall-clock") — timestamps are microseconds of real
- *     time since process start: coordinator vs worker phases, shard
- *     handshakes, sampled-simulation stages, watchdog markers.
+ *     time since process start: sampled-simulation stages.
  *
  * Load the written file at https://ui.perfetto.dev or
- * chrome://tracing. The sink is mutex-protected so shard workers can
+ * chrome://tracing. The sink is mutex-protected so sweep workers can
  * record concurrently; the event cap turns overflow into a drop
  * counter rather than unbounded memory.
  */
@@ -78,9 +77,9 @@ class TraceEventSink
 
 /**
  * Process-wide host wall-clock tracer. Telemetry attaches its sink
- * here while a run is live; HostSpan/hostInstant below are no-ops
- * (one relaxed atomic load) when nothing is attached, so host-side
- * instrumentation can stay unconditional in coordinator/worker code.
+ * here while a run is live; HostSpan below is a no-op (one relaxed
+ * atomic load) when nothing is attached, so host-side instrumentation
+ * can stay unconditional.
  * Thread ids are mapped to small dense tids in attach order.
  */
 class HostTracer
@@ -100,7 +99,6 @@ class HostTracer
 
     void span(const std::string &name, const char *cat, double t0_us,
               double t1_us);
-    void instant(const std::string &name, const char *cat);
 
   private:
     HostTracer();
@@ -138,15 +136,6 @@ class HostSpan
     const char *cat_;
     double t0_;
 };
-
-/** Instant host wall-clock marker (no-op when no sink is attached). */
-inline void
-hostInstant(const char *name, const char *cat)
-{
-    HostTracer &ht = HostTracer::instance();
-    if (ht.enabled())
-        ht.instant(name, cat);
-}
 
 } // namespace ccsim::obs
 

@@ -10,10 +10,9 @@
  * docs/resilience.md). The config hash covers every knob that shapes
  * simulated state — workloads, core/channel counts, scheme, seeds,
  * instruction targets, VM shape — but deliberately EXCLUDES the
- * execution strategy (kernel mode, shard thread count, paranoia,
- * fault plan): all kernels produce bit-identical schedules, so a
- * snapshot taken under Calendar may be resumed under EventSkip or a
- * different shard width.
+ * execution strategy (kernel mode, paranoia, fault plan, telemetry):
+ * all kernels produce bit-identical schedules, so a snapshot taken
+ * under Calendar may be resumed under EventSkip or PerCycle.
  *
  * The stop flag is the SIGINT/SIGTERM half of graceful shutdown:
  * installStopSignalHandler() arms an async-signal-safe flag that
@@ -33,8 +32,9 @@ namespace ccsim::resilience {
 class SnapshotWriter;
 class SnapshotReader;
 
-/** Bump when the section container or file header layout changes. */
-constexpr std::uint32_t kSnapshotFormat = 1;
+/** Bump when the section container, the file header or a section's
+    layout changes. */
+constexpr std::uint32_t kSnapshotFormat = 2;
 
 /** Write the snapshot file header. */
 void writeSnapshotHeader(SnapshotWriter &w, std::uint64_t config_hash);

@@ -6,8 +6,8 @@
  * anything caused by user input (bad config, malformed trace files,
  * unreadable snapshots), by the environment (I/O, allocation), or by a
  * deliberately injected fault is thrown as a SimError so callers — the
- * sweep runner, bench mains, the sharded coordinator — can catch it,
- * retry, degrade, or report it without tearing the process down.
+ * sweep runner, bench mains — can catch it, retry, or report it
+ * without tearing the process down.
  * Invariant violations stay CCSIM_ASSERT/CCSIM_PANIC (see
  * common/log.hh for the contract).
  *
@@ -31,8 +31,6 @@ enum class ErrorKind {
     TraceIo,           ///< Trace file missing, unreadable, or truncated.
     IoError,           ///< Snapshot/result file I/O failed.
     CorruptSnapshot,   ///< Snapshot failed CRC/version/hash validation.
-    CorruptData,       ///< Cross-thread payload failed its checksum.
-    FaultInjected,     ///< Deterministic fault-plan injection fired.
     Interrupted,       ///< Stop flag (SIGINT/SIGTERM) honored mid-run.
     ResourceExhausted, ///< Allocation failure (transient, retryable).
     Unsupported,       ///< Operation not available on this object.
@@ -47,8 +45,6 @@ errorKindName(ErrorKind kind)
       case ErrorKind::TraceIo:           return "TraceIo";
       case ErrorKind::IoError:           return "IoError";
       case ErrorKind::CorruptSnapshot:   return "CorruptSnapshot";
-      case ErrorKind::CorruptData:       return "CorruptData";
-      case ErrorKind::FaultInjected:     return "FaultInjected";
       case ErrorKind::Interrupted:       return "Interrupted";
       case ErrorKind::ResourceExhausted: return "ResourceExhausted";
       case ErrorKind::Unsupported:       return "Unsupported";

@@ -13,9 +13,6 @@ faultKindName(FaultKind kind)
 {
     switch (kind) {
       case FaultKind::None:          return "none";
-      case FaultKind::WorkerStall:   return "worker-stall";
-      case FaultKind::WorkerDeath:   return "worker-death";
-      case FaultKind::RingCorrupt:   return "ring-corrupt";
       case FaultKind::AllocFail:     return "alloc-fail";
       case FaultKind::TraceTruncate: return "trace-truncate";
     }
@@ -42,26 +39,11 @@ applyEnvFaults(FaultConfig &cfg)
                                "' is not an unsigned integer");
         return parsed;
     };
-    auto parseInt = [](const char *name, const char *v) -> int {
-        char *end = nullptr;
-        long parsed = std::strtol(v, &end, 10);
-        if (end == v || *end != '\0')
-            throw SimError(ErrorKind::InvalidConfig,
-                           std::string(name) + "='" + v +
-                               "' is not an integer");
-        return static_cast<int>(parsed);
-    };
     if (const char *v = env("CCSIM_FAULT_SEED"))
         cfg.seed = parseU64("CCSIM_FAULT_SEED", v);
     if (const char *v = env("CCSIM_FAULT_KIND")) {
         std::string k = v;
-        if (k == "worker-stall")
-            cfg.kind = FaultKind::WorkerStall;
-        else if (k == "worker-death")
-            cfg.kind = FaultKind::WorkerDeath;
-        else if (k == "ring-corrupt")
-            cfg.kind = FaultKind::RingCorrupt;
-        else if (k == "alloc-fail")
+        if (k == "alloc-fail")
             cfg.kind = FaultKind::AllocFail;
         else if (k == "trace-truncate")
             cfg.kind = FaultKind::TraceTruncate;
@@ -73,61 +55,30 @@ applyEnvFaults(FaultConfig &cfg)
     }
     if (const char *v = env("CCSIM_FAULT_AFTER"))
         cfg.afterCommands = parseU64("CCSIM_FAULT_AFTER", v);
-    if (const char *v = env("CCSIM_FAULT_CHANNEL"))
-        cfg.channel = parseInt("CCSIM_FAULT_CHANNEL", v);
 }
 
-FaultPlan::FaultPlan(const FaultConfig &cfg, int channels) : cfg_(cfg)
+FaultPlan::FaultPlan(const FaultConfig &cfg) : cfg_(cfg)
 {
     if (!cfg_.enabled())
         return;
     std::uint64_t s = cfg_.seed;
-    // Derivation order is fixed: kind, afterCommands, channel — so a
+    // Derivation order is fixed: kind, then afterCommands — so a
     // partially-pinned config consumes the same stream positions.
     std::uint64_t dk = splitMix64(s);
     std::uint64_t da = splitMix64(s);
-    std::uint64_t dc = splitMix64(s);
     kind_ = cfg_.kind != FaultKind::None
                 ? cfg_.kind
-                : static_cast<FaultKind>(1 + dk % 5);
+                : static_cast<FaultKind>(1 + dk % 2);
     after_ = cfg_.afterCommands != 0 ? cfg_.afterCommands : 1 + da % 64;
-    channel_ = cfg_.channel >= 0
-                   ? cfg_.channel % (channels > 0 ? channels : 1)
-                   : static_cast<int>(dc % (channels > 0 ? channels : 1));
-}
-
-bool
-FaultPlan::fireOnce()
-{
-    bool expected = false;
-    return fired_.compare_exchange_strong(expected, true);
-}
-
-bool
-FaultPlan::shouldCorruptCmd(int ch, std::uint64_t cmd_idx)
-{
-    if (!enabled() || kind_ != FaultKind::RingCorrupt || ch != channel_ ||
-        cmd_idx < after_)
-        return false;
-    return fireOnce();
-}
-
-FaultKind
-FaultPlan::workerAction(int ch, std::uint64_t cmd_idx)
-{
-    if (!enabled() || ch != channel_ || cmd_idx < after_)
-        return FaultKind::None;
-    if (kind_ != FaultKind::WorkerStall && kind_ != FaultKind::WorkerDeath)
-        return FaultKind::None;
-    return fireOnce() ? kind_ : FaultKind::None;
 }
 
 bool
 FaultPlan::shouldFailAlloc()
 {
-    if (!enabled() || kind_ != FaultKind::AllocFail)
+    if (!enabled() || kind_ != FaultKind::AllocFail || fired_)
         return false;
-    return fireOnce();
+    fired_ = true;
+    return true;
 }
 
 std::uint64_t

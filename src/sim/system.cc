@@ -9,7 +9,6 @@
 #include "resilience/checkpoint.hh"
 #include "resilience/error.hh"
 #include "resilience/serial.hh"
-#include "sim/shard.hh"
 #include "workloads/profiles.hh"
 
 namespace ccsim::sim {
@@ -120,9 +119,8 @@ System::build(const std::vector<cpu::TraceSource *> &traces)
 {
     traceRefs_ = traces; // Retained for snapshot serialization.
 
-    faultPlan_ = std::make_unique<resilience::FaultPlan>(config_.faults,
-                                                         config_.channels);
-    if (faultPlan_->shouldFailAlloc())
+    resilience::FaultPlan fault_plan(config_.faults);
+    if (fault_plan.shouldFailAlloc())
         throw resilience::SimError(
             resilience::ErrorKind::ResourceExhausted,
             "injected allocation failure (fault seed " +
@@ -171,11 +169,9 @@ System::build(const std::vector<cpu::TraceSource *> &traces)
         }
     }
 
-    for (auto &mc : controllers_)
-        llcRoute_.push_back(mc.get());
     llc_ = std::make_unique<mem::Llc>(
         config_.llc, *mapper_,
-        [this](int ch) { return llcRoute_[ch]; },
+        [this](int ch) { return controllers_[ch].get(); },
         [this](int core, std::uint64_t token) {
             wakeSignal_ = true;
             calNoteWake(core);
@@ -196,8 +192,7 @@ System::build(const std::vector<cpu::TraceSource *> &traces)
     // one region each — and every core's Mmu references all of them;
     // the seed-derived schedule decides which one a core runs.
     // First-touch order then interleaves cores, but cores advance in
-    // id order on one thread in every kernel (incl. the sharded
-    // coordinator), so it stays kernel-invariant.
+    // id order in every kernel, so it stays kernel-invariant.
     if (config_.vm.enable) {
         Addr capacity = mapper_->numLines();
         if (config_.vm.mp.enabled()) {
@@ -417,13 +412,6 @@ System::run()
             tele_->scheduleFrom(0);
     }
 #endif
-    if (config_.kernel == KernelMode::Calendar &&
-        !config_.kernelParanoid && config_.shardThreads > 0) {
-        SystemResult res = runShardedSystem(*this);
-        if (config_.shardShadow)
-            shardShadowReplay(*this, res);
-        return res;
-    }
     if (config_.kernel == KernelMode::Calendar && !config_.kernelParanoid)
         return runCalendar();
 
@@ -758,7 +746,6 @@ SystemResult
 System::collectResults(CpuCycle now, CpuCycle warm_end)
 {
     SystemResult res;
-    res.degraded = degraded_;
     res.cpuCycles = now - warm_end;
     for (const auto &core : cores_) {
         CpuCycle c = core->targetCycle() - warm_end;
@@ -1225,7 +1212,7 @@ System::configHash() const
 {
     // Advisory compatibility check: covers the knobs that shape
     // simulated state, excludes pure execution strategy (kernel mode,
-    // shard width, paranoia, fault plan) so snapshots resume across
+    // paranoia, fault plan, telemetry) so snapshots resume across
     // kernels. See resilience/checkpoint.hh.
     std::uint64_t h = 0x4343534e41503031ull; // "CCSNAP01"
     auto mix = [&h](std::uint64_t v) { h = mix64(h ^ v); };
@@ -1283,7 +1270,6 @@ System::serializeSnapshot() const
     w.put(ckptPoint_.now);
     w.put(ckptPoint_.warm);
     w.put(ckptPoint_.warmEnd);
-    w.put(degraded_);
     w.endSection();
 
     w.beginSection("traces", 1);
@@ -1357,7 +1343,6 @@ System::restoreSnapshot(const std::vector<std::uint8_t> &bytes)
     r.get(pt.now);
     r.get(pt.warm);
     r.get(pt.warmEnd);
-    r.get(degraded_);
     r.closeSection();
 
     r.openSection("traces", 1);

@@ -2,8 +2,8 @@
  * @file
  * Shared kernel-equivalence scaffolding: bit-identical SystemResult /
  * CoreStats comparators and the CCSIM_PARANOID env upgrade, used by the
- * kernel-equivalence suites (tests/test_system.cc) and the sharded-run
- * equivalence matrix (tests/test_shard.cc).
+ * kernel-equivalence suites (tests/test_system.cc) and every other
+ * suite that compares whole runs.
  */
 
 #ifndef CCSIM_TESTS_SYSTEM_COMPARE_HH
@@ -23,9 +23,7 @@ namespace ccsim::test {
  * kernel under test to its shadow-validation mode: all skip decisions
  * are executed-and-asserted instead of taken on faith, and the
  * calendar kernel's wheel and cached horizons are cross-checked
- * against the per-cycle schedule. For sharded configurations the
- * equivalent upgrade is SimConfig::shardShadow (a full serial replay
- * compared field by field), applied by applyEnvShardParanoia.
+ * against the per-cycle schedule.
  */
 inline bool
 envParanoid()
@@ -39,15 +37,6 @@ applyEnvParanoia(sim::SimConfig &cfg)
 {
     if (cfg.kernel != sim::KernelMode::PerCycle && envParanoid())
         cfg.kernelParanoid = true;
-}
-
-/** CCSIM_PARANOID upgrade for sharded configs: serial shadow replay.
-    Only valid for workload-name-constructed Systems. */
-inline void
-applyEnvShardParanoia(sim::SimConfig &cfg)
-{
-    if (cfg.shardThreads > 0 && envParanoid())
-        cfg.shardShadow = true;
 }
 
 /** Every field of SystemResult must agree bit for bit. */
@@ -120,11 +109,7 @@ expectIdenticalResults(const sim::SystemResult &a,
     for (size_t i = 0; i < a.rltl.size(); ++i)
         EXPECT_EQ(a.rltl[i], b.rltl[i]) << "rltl window " << i;
     EXPECT_EQ(a.afterRefresh8ms, b.afterRefresh8ms);
-
-    // SystemResult::degraded is deliberately NOT compared: the
-    // resilience tests pit a degraded sharded run against a healthy
-    // serial reference precisely to prove the *statistics* stay
-    // bit-identical while the flag differs (tests/test_resilience.cc).
+    EXPECT_EQ(a.degraded, b.degraded);
 }
 
 /** Per-core statistics must also agree (park/wake bulk accounting). */

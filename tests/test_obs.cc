@@ -4,17 +4,18 @@
  *
  *  - telemetry on/off bit-identity: enabling the time series, the
  *    latency histograms and the trace-event exporters changes no
- *    SystemResult field, on every kernel and every shard width;
+ *    SystemResult field, on every kernel, with all features together
+ *    and with each feature alone;
  *  - time-series determinism: the sampled rows are bit-identical
- *    across {PerCycle, EventSkip, Calendar} and shard widths {1,2,4};
+ *    across {PerCycle, EventSkip, Calendar};
  *  - checkpoint/resume continuity: a run killed at a checkpoint and
- *    resumed in a fresh System (same or different kernel/shard width)
- *    reproduces the uninterrupted series with no gap and no duplicate;
+ *    resumed in a fresh System (same or different kernel) reproduces
+ *    the uninterrupted series with no gap and no duplicate;
  *  - histogram accounting: the merged read-latency histogram agrees
  *    exactly with the controller statistics of the measured region;
  *  - trace-event export: the emitted JSON has the Chrome trace shape.
  *
- * Every suite is named Obs* so CMake's obs_suite can select them.
+ * Every suite is named Obs* so CMake's `obs` label selects them.
  */
 
 #include <gtest/gtest.h>
@@ -109,7 +110,7 @@ expectIdenticalSeries(const SeriesDump &a, const SeriesDump &b,
 }
 
 // ---------------------------------------------------------------------
-// On/off bit-identity across every kernel and shard width.
+// On/off bit-identity across every kernel and every feature.
 
 TEST(ObsEquivalence, OnOffBitIdenticalAllKernels)
 {
@@ -139,22 +140,47 @@ TEST(ObsEquivalence, OnOffBitIdenticalAllKernels)
     }
 }
 
-TEST(ObsEquivalence, OnOffBitIdenticalAllShardWidths)
+TEST(ObsEquivalence, OnOffBitIdenticalPerFeature)
 {
+    // Each telemetry feature alone on the default kernel: a feature
+    // whose hook perturbs the schedule cannot hide behind another.
     const auto w = obsWorkloads(4);
     SimConfig off = obsConfig(false);
     off.kernel = KernelMode::Calendar;
+    applyEnvParanoia(off);
     System ref_sys(off, w);
     SystemResult ref = ref_sys.run();
 
-    for (int threads : {1, 2, 4}) {
-        SimConfig on = obsConfig(true);
+    struct Feature {
+        const char *label;
+        void (*set)(obs::ObsConfig &);
+    };
+    const Feature features[] = {
+        {"series", [](obs::ObsConfig &o) { o.histograms = false; }},
+        {"histograms", [](obs::ObsConfig &o) { o.sampleInterval = 0; }},
+        {"simTrace",
+         [](obs::ObsConfig &o) {
+             o.sampleInterval = 0;
+             o.histograms = false;
+             o.simTrace = true;
+         }},
+        {"hostTrace",
+         [](obs::ObsConfig &o) {
+             o.sampleInterval = 0;
+             o.histograms = false;
+             o.hostTrace = true;
+         }},
+    };
+    for (const Feature &f : features) {
+        SimConfig on = obsConfig(false);
         on.kernel = KernelMode::Calendar;
-        on.shardThreads = threads;
+        on.obs.enable = true;
+        on.obs.sampleInterval = kSampleInterval;
+        f.set(on.obs);
+        applyEnvParanoia(on);
         System sys(on, w);
         SystemResult res = sys.run();
-        std::string label =
-            "obs-on-sharded-T" + std::to_string(threads) + "-vs-serial-off";
+        std::string label = std::string("obs-") + f.label + "-vs-off";
         expectIdenticalResults(ref, res, label.c_str());
     }
 }
@@ -162,7 +188,7 @@ TEST(ObsEquivalence, OnOffBitIdenticalAllShardWidths)
 // ---------------------------------------------------------------------
 // The time series itself is deterministic across execution strategies.
 
-TEST(ObsSeries, IdenticalAcrossKernelsAndShardWidths)
+TEST(ObsSeries, IdenticalAcrossKernels)
 {
     const auto w = obsWorkloads(4);
 
@@ -186,17 +212,6 @@ TEST(ObsSeries, IdenticalAcrossKernelsAndShardWidths)
         sys.run();
         SeriesDump got = dumpSeries(sys);
         expectIdenticalSeries(ref, got, kernelModeName(k));
-    }
-
-    for (int threads : {1, 2, 4}) {
-        SimConfig cfg = obsConfig(true);
-        cfg.kernel = KernelMode::Calendar;
-        cfg.shardThreads = threads;
-        System sys(cfg, w);
-        sys.run();
-        SeriesDump got = dumpSeries(sys);
-        std::string label = "sharded-T" + std::to_string(threads);
-        expectIdenticalSeries(ref, got, label.c_str());
     }
 }
 
@@ -244,17 +259,14 @@ TEST(ObsSeries, SurvivesCheckpointResume)
 
         struct Resume {
             KernelMode kernel;
-            int shardThreads;
             const char *label;
         } resumes[] = {
-            {KernelMode::Calendar, 0, "resume-calendar"},
-            {KernelMode::PerCycle, 0, "resume-percycle"},
-            {KernelMode::Calendar, 2, "resume-sharded-T2"},
+            {KernelMode::Calendar, "resume-calendar"},
+            {KernelMode::PerCycle, "resume-percycle"},
         };
         for (const Resume &rm : resumes) {
             SimConfig rcfg = cfg;
             rcfg.kernel = rm.kernel;
-            rcfg.shardThreads = rm.shardThreads;
             System sys(rcfg, w);
             sys.restoreSnapshot(snap);
             SystemResult res = sys.run();
@@ -305,19 +317,6 @@ TEST(ObsHistogram, ReadLatencyMatchesCtrlStats)
 
     // VM is on, so page walks completed and were timed.
     EXPECT_GT(t->mergedPtwWalk().count(), 0u);
-
-    // Identical when sharded (per-channel objects, merged in order).
-    SimConfig scfg = cfg;
-    scfg.shardThreads = 2;
-    System ssys(scfg, w);
-    SystemResult sres = ssys.run();
-    Histogram sread = ssys.telemetry()->mergedReadLatency();
-    EXPECT_EQ(sread.count(), read_lat.count());
-    EXPECT_EQ(sread.sum(), read_lat.sum());
-    for (int i = 0; i < Histogram::kBuckets; ++i)
-        EXPECT_EQ(sread.bucketCount(i), read_lat.bucketCount(i))
-            << "bucket " << i;
-    EXPECT_EQ(sres.ctrl.reads, res.ctrl.reads);
 }
 
 TEST(ObsHistogram, DisabledHooksReturnNull)

@@ -7,14 +7,13 @@
  *  - atomic file I/O (temp+rename write, read-modify-replace append);
  *  - checkpoint/restore equivalence matrix: a run checkpointed
  *    mid-flight and resumed on a fresh System is bit-identical to the
- *    uninterrupted run, across every kernel, VM on/off, sharded widths
- *    1/2/4, and across kernel/width changes at the resume boundary;
+ *    uninterrupted run, across every kernel, VM on/off, and across
+ *    kernel changes at the resume boundary;
  *  - autosave-and-continue identity (the hook itself is schedule-
  *    neutral) and the SIGINT/SIGTERM stop flag (final snapshot, then
  *    SimError{Interrupted});
- *  - deterministic fault injection: worker death / stall / ring
- *    corruption degrade a sharded run onto the coordinator with
- *    bit-identical statistics and SystemResult::degraded set;
+ *  - deterministic fault injection: seed-derived plans, the injected
+ *    allocation failure and the CCSIM_FAULT_* environment contract;
  *  - structured input-validation errors (SimError, not aborts) and
  *    the sweep runner's retry/backoff on retryable kinds;
  *  - malformed / truncated trace regression tests.
@@ -36,7 +35,6 @@
 #include "resilience/io.hh"
 #include "resilience/serial.hh"
 #include "sim/experiment.hh"
-#include "sim/shard.hh"
 #include "sim/system.hh"
 #include "system_compare.hh"
 #include "workloads/profiles.hh"
@@ -163,37 +161,10 @@ TEST(Resilience, AtomicFileWriteAndAppend)
 }
 
 // ---------------------------------------------------------------------
-// Shard payload checksums.
-
-TEST(Resilience, ShardChecksumsCatchFieldFlips)
-{
-    ShardCmd cmd;
-    cmd.op = ShardCmd::Op::Enqueue;
-    cmd.target = 12345;
-    cmd.req.lineAddr = 0xabcd00;
-    cmd.seal();
-    EXPECT_TRUE(cmd.verify());
-    cmd.target ^= Cycle(1) << 17; // The RingCorrupt injection's flip.
-    EXPECT_FALSE(cmd.verify());
-    cmd.target ^= Cycle(1) << 17;
-    EXPECT_TRUE(cmd.verify());
-    cmd.req.addr.row ^= 1;
-    EXPECT_FALSE(cmd.verify());
-
-    ShardCompletion sc;
-    sc.done = 777;
-    sc.req.lineAddr = 0x1234;
-    sc.seal();
-    EXPECT_TRUE(sc.verify());
-    sc.done += 1;
-    EXPECT_FALSE(sc.verify());
-}
-
-// ---------------------------------------------------------------------
 // Checkpoint/restore equivalence matrix.
 
 SimConfig
-ckptConfig(KernelMode kernel, bool vm, int shard_threads = 0)
+ckptConfig(KernelMode kernel, bool vm)
 {
     SimConfig cfg;
     cfg.nCores = 4;
@@ -206,18 +177,11 @@ ckptConfig(KernelMode kernel, bool vm, int shard_threads = 0)
     cfg.warmupInsts = 1000;
     cfg.vm.enable = vm;
     cfg.kernel = kernel;
-    cfg.shardThreads = shard_threads;
     cfg.finalizeChargeCache();
-    // CCSIM_PARANOID=1 (the CI fault-injection soak) upgrades the
-    // configs under checkpoint/fault testing to shadow-validation:
-    // serial configs get kernelParanoid (which would force a sharded
-    // run serial, so it must not touch those), sharded configs get the
-    // full serial shadow replay. Neither knob is in the snapshot
+    // CCSIM_PARANOID=1 upgrades the configs under checkpoint testing
+    // to shadow-validation. kernelParanoid is not in the snapshot
     // config hash, so resume stays legal either way.
-    if (cfg.shardThreads == 0)
-        test::applyEnvParanoia(cfg);
-    else
-        test::applyEnvShardParanoia(cfg);
+    test::applyEnvParanoia(cfg);
     return cfg;
 }
 
@@ -271,7 +235,6 @@ TEST(Resilience, CheckpointMatrixAllKernels)
             SystemResult ref = referenceRun(cfg);
             // Mid-measurement checkpoint (warm-up ends ~5-6k cycles in).
             SystemResult res = resumeRun(cfg, captureAt(cfg, 20000));
-            EXPECT_FALSE(res.degraded);
             std::string label = std::string(kernelModeName(k)) +
                                 (vm ? "/vm" : "") + " resume";
             expectIdenticalResults(ref, res, label.c_str());
@@ -287,24 +250,10 @@ TEST(Resilience, CheckpointDuringWarmup)
     expectIdenticalResults(ref, res, "pre-warm resume");
 }
 
-TEST(Resilience, CheckpointMatrixSharded)
-{
-    SimConfig serial = ckptConfig(KernelMode::Calendar, false);
-    SystemResult ref = referenceRun(serial);
-    for (int threads : {1, 2, 4}) {
-        SimConfig cfg = ckptConfig(KernelMode::Calendar, false, threads);
-        SystemResult res = resumeRun(cfg, captureAt(cfg, 20000));
-        EXPECT_FALSE(res.degraded);
-        std::string label =
-            "sharded x" + std::to_string(threads) + " resume";
-        expectIdenticalResults(ref, res, label.c_str());
-    }
-}
-
-TEST(Resilience, CheckpointCrossKernelAndWidthResume)
+TEST(Resilience, CheckpointCrossKernelResume)
 {
     // The config hash deliberately excludes the execution strategy: a
-    // snapshot taken under one kernel/width resumes under any other.
+    // snapshot taken under one kernel resumes under any other.
     SimConfig cal = ckptConfig(KernelMode::Calendar, true);
     SystemResult ref = referenceRun(cal);
     std::vector<std::uint8_t> snap = captureAt(cal, 20000);
@@ -315,39 +264,31 @@ TEST(Resilience, CheckpointCrossKernelAndWidthResume)
     expectIdenticalResults(
         ref, resumeRun(ckptConfig(KernelMode::EventSkip, true), snap),
         "calendar snapshot -> eventskip");
-    expectIdenticalResults(
-        ref, resumeRun(ckptConfig(KernelMode::Calendar, true, 2), snap),
-        "calendar snapshot -> sharded x2");
 
-    // And back: a sharded snapshot resumed serially.
-    std::vector<std::uint8_t> shard_snap =
-        captureAt(ckptConfig(KernelMode::Calendar, true, 2), 20000);
+    // And back: a per-cycle snapshot resumed on the calendar kernel.
+    std::vector<std::uint8_t> pc_snap =
+        captureAt(ckptConfig(KernelMode::PerCycle, true), 20000);
     expectIdenticalResults(
-        ref, resumeRun(ckptConfig(KernelMode::Calendar, true), shard_snap),
-        "sharded snapshot -> serial");
+        ref, resumeRun(cal, pc_snap), "percycle snapshot -> calendar");
 }
 
 TEST(Resilience, AutosaveAndContinueIsScheduleNeutral)
 {
     // A periodic hook that lets the run continue must not perturb the
-    // schedule — quiescing (parked-core settling, sharded clock
-    // landing) is provably idempotent.
-    for (int threads : {0, 2}) {
-        SimConfig cfg = ckptConfig(KernelMode::Calendar, true, threads);
-        SystemResult ref = referenceRun(cfg);
-        System sys(cfg, ckptWorkloads(cfg.nCores));
-        int fires = 0;
-        sys.setCheckpointHook(3000, 5000, [&](System &s) {
-            ++fires;
-            (void)s.serializeSnapshot(); // Legal inside the hook.
-            return true;
-        });
-        SystemResult res = sys.run();
-        EXPECT_GE(fires, 2) << "autosave hook should fire repeatedly";
-        std::string label =
-            "autosave continue, threads=" + std::to_string(threads);
-        expectIdenticalResults(ref, res, label.c_str());
-    }
+    // schedule — quiescing (parked-core settling) is provably
+    // idempotent.
+    SimConfig cfg = ckptConfig(KernelMode::Calendar, true);
+    SystemResult ref = referenceRun(cfg);
+    System sys(cfg, ckptWorkloads(cfg.nCores));
+    int fires = 0;
+    sys.setCheckpointHook(3000, 5000, [&](System &s) {
+        ++fires;
+        (void)s.serializeSnapshot(); // Legal inside the hook.
+        return true;
+    });
+    SystemResult res = sys.run();
+    EXPECT_GE(fires, 2) << "autosave hook should fire repeatedly";
+    expectIdenticalResults(ref, res, "autosave continue");
 }
 
 TEST(Resilience, SnapshotRejectsWrongConfigAndCorruption)
@@ -369,7 +310,7 @@ TEST(Resilience, SnapshotRejectsWrongConfigAndCorruption)
     // Execution strategy is NOT part of the hash.
     SimConfig ek = cfg;
     ek.kernel = KernelMode::EventSkip;
-    ek.shardThreads = 2;
+    ek.obs.enable = true;
     EXPECT_EQ(System(cfg, ckptWorkloads(cfg.nCores)).configHash(),
               System(ek, ckptWorkloads(ek.nCores)).configHash());
 
@@ -427,61 +368,7 @@ TEST(Resilience, StopFlagSavesFinalSnapshotAndResumes)
 }
 
 // ---------------------------------------------------------------------
-// Fault injection and graceful degradation.
-
-SimConfig
-faultConfig(resilience::FaultKind kind, std::uint64_t after)
-{
-    SimConfig cfg = ckptConfig(KernelMode::Calendar, false, 2);
-    cfg.faults.seed = 99;
-    cfg.faults.afterCommands = after;
-    cfg.faults.channel = 0;
-    // The CI soak sweeps CCSIM_FAULT_SEED over these tests: when the
-    // env names a seed, the injection point and channel un-pin so the
-    // seed derives the whole scenario (after in [1,64], any channel).
-    // The *kind* stays test-owned (re-pinned below) so each test keeps
-    // exercising its own recovery path whatever the environment says.
-    if (std::getenv("CCSIM_FAULT_SEED")) {
-        cfg.faults.afterCommands = 0;
-        cfg.faults.channel = -1;
-    }
-    resilience::applyEnvFaults(cfg.faults);
-    cfg.faults.kind = kind;
-    return cfg;
-}
-
-TEST(Resilience, WorkerDeathDegradesBitIdentically)
-{
-    SystemResult ref = referenceRun(ckptConfig(KernelMode::Calendar,
-                                               false));
-    SimConfig cfg = faultConfig(resilience::FaultKind::WorkerDeath, 40);
-    SystemResult res = referenceRun(cfg);
-    EXPECT_TRUE(res.degraded);
-    expectIdenticalResults(ref, res, "worker death absorbed");
-}
-
-TEST(Resilience, RingCorruptionDegradesBitIdentically)
-{
-    SystemResult ref = referenceRun(ckptConfig(KernelMode::Calendar,
-                                               false));
-    SimConfig cfg = faultConfig(resilience::FaultKind::RingCorrupt, 60);
-    SystemResult res = referenceRun(cfg);
-    EXPECT_TRUE(res.degraded);
-    expectIdenticalResults(ref, res, "corrupt command absorbed");
-}
-
-TEST(Resilience, WorkerStallTripsWatchdogBitIdentically)
-{
-    SystemResult ref = referenceRun(ckptConfig(KernelMode::Calendar,
-                                               false));
-    SimConfig cfg = faultConfig(resilience::FaultKind::WorkerStall, 40);
-    cfg.faults.stallMs = 300.0;
-    cfg.shardEpochDeadlineMs = 2.0;
-    cfg.shardMissedDeadlineLimit = 2;
-    SystemResult res = referenceRun(cfg);
-    EXPECT_TRUE(res.degraded);
-    expectIdenticalResults(ref, res, "stalled worker quarantined");
-}
+// Fault injection.
 
 TEST(Resilience, AllocFailureIsRetryableSimError)
 {
@@ -500,22 +387,52 @@ TEST(Resilience, AllocFailureIsRetryableSimError)
 TEST(Resilience, EnvFaultOverridesParse)
 {
     setenv("CCSIM_FAULT_SEED", "31337", 1);
-    setenv("CCSIM_FAULT_KIND", "ring-corrupt", 1);
+    setenv("CCSIM_FAULT_KIND", "trace-truncate", 1);
     setenv("CCSIM_FAULT_AFTER", "12", 1);
-    setenv("CCSIM_FAULT_CHANNEL", "1", 1);
     resilience::FaultConfig fc;
     resilience::applyEnvFaults(fc);
     EXPECT_EQ(fc.seed, 31337u);
-    EXPECT_EQ(fc.kind, resilience::FaultKind::RingCorrupt);
+    EXPECT_EQ(fc.kind, resilience::FaultKind::TraceTruncate);
     EXPECT_EQ(fc.afterCommands, 12u);
-    EXPECT_EQ(fc.channel, 1);
+    resilience::FaultPlan pinned(fc);
+    EXPECT_EQ(pinned.traceTruncateAfter(), 12u);
+    EXPECT_FALSE(pinned.shouldFailAlloc());
 
-    setenv("CCSIM_FAULT_KIND", "meteor-strike", 1);
-    EXPECT_THROW(resilience::applyEnvFaults(fc), SimError);
+    // Unpinned kind and injection point derive from the seed alone.
+    setenv("CCSIM_FAULT_KIND", "none", 1);
+    unsetenv("CCSIM_FAULT_AFTER");
+    resilience::FaultConfig derived_cfg;
+    resilience::applyEnvFaults(derived_cfg);
+    EXPECT_EQ(derived_cfg.kind, resilience::FaultKind::None);
+    resilience::FaultPlan derived(derived_cfg);
+    EXPECT_EQ(derived.kind(), resilience::FaultKind::TraceTruncate);
+    EXPECT_EQ(derived.afterCommands(), 34u);
+    EXPECT_EQ(derived.traceTruncateAfter(), 34u);
+    EXPECT_FALSE(derived.shouldFailAlloc());
+
+    // An allocation failure fires at most once per plan.
+    setenv("CCSIM_FAULT_KIND", "alloc-fail", 1);
+    resilience::FaultConfig alloc_cfg;
+    resilience::applyEnvFaults(alloc_cfg);
+    resilience::FaultPlan alloc(alloc_cfg);
+    EXPECT_EQ(alloc.traceTruncateAfter(), 0u);
+    EXPECT_TRUE(alloc.shouldFailAlloc());
+    EXPECT_FALSE(alloc.shouldFailAlloc());
+
+    // Unknown kinds fail loudly rather than inject nothing; that
+    // includes the worker faults, which no longer have a target.
+    for (const char *kind : {"meteor-strike", "worker-death",
+                             "worker-stall", "ring-corrupt"}) {
+        setenv("CCSIM_FAULT_KIND", kind, 1);
+        try {
+            resilience::applyEnvFaults(fc);
+            ADD_FAILURE() << kind << " should have been rejected";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), ErrorKind::InvalidConfig) << kind;
+        }
+    }
     unsetenv("CCSIM_FAULT_SEED");
     unsetenv("CCSIM_FAULT_KIND");
-    unsetenv("CCSIM_FAULT_AFTER");
-    unsetenv("CCSIM_FAULT_CHANNEL");
 }
 
 TEST(Resilience, EnvFaultScalarsRejectGarbage)
@@ -530,9 +447,7 @@ TEST(Resilience, EnvFaultScalarsRejectGarbage)
     const Case cases[] = {{"CCSIM_FAULT_SEED", "abc"},
                           {"CCSIM_FAULT_SEED", "12abc"},
                           {"CCSIM_FAULT_AFTER", "ten"},
-                          {"CCSIM_FAULT_AFTER", "7 "},
-                          {"CCSIM_FAULT_CHANNEL", "one"},
-                          {"CCSIM_FAULT_CHANNEL", "0x2"}};
+                          {"CCSIM_FAULT_AFTER", "7 "}};
     for (const Case &c : cases) {
         setenv(c.name, c.value, 1);
         resilience::FaultConfig fc;
@@ -549,14 +464,6 @@ TEST(Resilience, EnvFaultScalarsRejectGarbage)
         }
         unsetenv(c.name);
     }
-
-    // Valid values (incl. negative channel = "derive from seed") still
-    // parse.
-    setenv("CCSIM_FAULT_CHANNEL", "-1", 1);
-    resilience::FaultConfig fc;
-    resilience::applyEnvFaults(fc);
-    EXPECT_EQ(fc.channel, -1);
-    unsetenv("CCSIM_FAULT_CHANNEL");
 }
 
 // ---------------------------------------------------------------------
