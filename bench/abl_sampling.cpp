@@ -14,7 +14,10 @@
  *
  * and reports, per workload: IPC and HCRAC-hit-rate relative error of
  * the sampled estimate, detailed-instruction fraction, and wall-clock
- * speedup (slices run serially, so the speedup is honest).
+ * speedup. The full run is one serial System; the sampled run's slices
+ * share a sim::ParallelRunner, so its speedup includes slice
+ * parallelism. The summary record names the worker count
+ * (`threads`); CCSIM_THREADS=1 gives the serial speedup.
  *
  * A second section runs the paper's 8-core configuration (2 channels,
  * closed-row) on a heterogeneous datacenter mix — cores 0-2 kv-zipf,
@@ -60,6 +63,7 @@
 #include "bench_common.hh"
 #include "dram/addr.hh"
 #include "resilience/io.hh"
+#include "sim/experiment.hh"
 #include "trace/datacenter.hh"
 #include "trace/format.hh"
 #include "trace/replay.hh"
@@ -434,12 +438,14 @@ main()
             "\"max_hcrac_err\": %.6f, \"speedup\": %.3f, "
             "\"t_full_s\": %.3f, \"t_sampled_s\": %.3f, "
             "\"mix_insts\": %llu, \"mix_ipc_err\": %.6f, "
-            "\"mix_hcrac_err\": %.6f, \"mix_speedup\": %.3f}\n",
+            "\"mix_hcrac_err\": %.6f, \"mix_speedup\": %.3f, "
+            "\"threads\": %d}\n",
             (unsigned long long)targetInsts,
             static_cast<int>(results.size()), maxIpcErr, maxHcracErr,
             speedup, tFullTotal, tSampledTotal,
             (unsigned long long)mc.insts, mc.ipcErr, mc.hcracErr,
-            mc.tSampled > 0 ? mc.tFull / mc.tSampled : 0.0);
+            mc.tSampled > 0 ? mc.tFull / mc.tSampled : 0.0,
+            sim::ParallelRunner::defaultThreads());
     };
 
     const std::string record = bench::captureRecord([&](std::FILE *f) {

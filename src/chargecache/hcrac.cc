@@ -26,7 +26,8 @@ Hcrac::Hcrac(const Params &params)
     : ways_(params.ways),
       policy_(params.policy),
       bipEpsilon_(params.bipEpsilon),
-      rng_(params.seed)
+      rng_(params.seed),
+      warmRng_(params.seed)
 {
     CCSIM_ASSERT(params.entries > 0 && params.ways > 0,
                  "HCRAC geometry must be positive");
@@ -67,6 +68,18 @@ Hcrac::lookup(std::uint64_t key)
 void
 Hcrac::insert(std::uint64_t key)
 {
+    insertWith(key, rng_);
+}
+
+void
+Hcrac::warmInsert(std::uint64_t key)
+{
+    insertWith(key, warmRng_);
+}
+
+void
+Hcrac::insertWith(std::uint64_t key, Rng &rng)
+{
     ++stats_.inserts;
     if (Entry *e = find(key)) {
         // Row was precharged again: the entry is fresh; promote it.
@@ -100,7 +113,7 @@ Hcrac::insert(std::uint64_t key)
         victim->stamp = 0; // LRU position: first out.
         break;
       case InsertPolicy::Bip:
-        victim->stamp = rng_.chance(bipEpsilon_) ? ++clock_ : 0;
+        victim->stamp = rng.chance(bipEpsilon_) ? ++clock_ : 0;
         break;
     }
 }
@@ -201,18 +214,6 @@ UnlimitedHcrac::lookup(std::uint64_t key, Cycle now)
     return false;
 }
 
-
-void
-Hcrac::warmCopyFrom(const Hcrac &other)
-{
-    if (other.ways_ != ways_ || other.sets_ != sets_)
-        throw resilience::SimError(
-            resilience::ErrorKind::InvalidConfig,
-            "warm-state injection needs matching HCRAC geometry");
-    entries_ = other.entries_;
-    clock_ = other.clock_;
-    valid_ = other.valid_;
-}
 
 void
 Hcrac::saveState(resilience::SnapshotWriter &w) const

@@ -69,6 +69,14 @@ class Hcrac
      */
     void insert(std::uint64_t key);
 
+    /**
+     * Functional-warming insert (trace/sampling.hh): as insert(), but
+     * BIP draws come from a separate generator seeded like the table's,
+     * so warming fills entries without moving the draws the detailed
+     * run will see.
+     */
+    void warmInsert(std::uint64_t key);
+
     /** Invalidate the entry at linear index `idx` (EC sweep target). */
     void invalidateEntry(std::size_t idx);
 
@@ -92,14 +100,6 @@ class Hcrac
     const Stats &stats() const { return stats_; }
     void resetStats() { stats_ = Stats(); }
 
-    /**
-     * Warm-state injection (SMARTS-style functional warming): adopt
-     * `other`'s entries and recency clock. Geometry must match or
-     * SimError{InvalidConfig} is thrown. Statistics and the BIP RNG
-     * are untouched — warming seeds state, not history.
-     */
-    void warmCopyFrom(const Hcrac &other);
-
     /** Checkpoint: entries, recency clock, RNG, statistics. */
     void saveState(resilience::SnapshotWriter &w) const;
     void loadState(resilience::SnapshotReader &r);
@@ -113,6 +113,7 @@ class Hcrac
 
     std::size_t setIndex(std::uint64_t key) const;
     Entry *find(std::uint64_t key);
+    void insertWith(std::uint64_t key, Rng &rng);
 
     int ways_;
     int sets_;
@@ -122,6 +123,7 @@ class Hcrac
     std::uint64_t clock_ = 0;    ///< Recency stamp source.
     int valid_ = 0;              ///< Live count of valid entries.
     Rng rng_;
+    Rng warmRng_; ///< BIP draws of warmInsert() only; not checkpointed.
     Stats stats_;
 };
 

@@ -69,18 +69,7 @@ void
 ChargeCacheProvider::warmInsert(int owner_core, const dram::DramAddr &addr,
                                 int row)
 {
-    tables_[tableIndex(owner_core)]->insert(rowKey(addr, row));
-}
-
-void
-ChargeCacheProvider::warmCopyFrom(const ChargeCacheProvider &other)
-{
-    if (other.tables_.size() != tables_.size())
-        throw resilience::SimError(
-            resilience::ErrorKind::InvalidConfig,
-            "warm-state injection needs matching HCRAC table counts");
-    for (std::size_t i = 0; i < tables_.size(); ++i)
-        tables_[i]->warmCopyFrom(*other.tables_[i]);
+    tables_[tableIndex(owner_core)]->warmInsert(rowKey(addr, row));
 }
 
 void

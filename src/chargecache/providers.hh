@@ -212,17 +212,12 @@ class ChargeCacheProvider final : public LatencyProvider
      * Functional insert, as a precharge of `row` by `owner_core` would
      * do — but time does not advance during warming, so the sweep
      * invalidator is not run and the unlimited-table model (which
-     * needs real insertion cycles) is skipped. Statistics still count
-     * the insert; warming callers reset stats before measuring.
+     * needs real insertion cycles) is skipped. BIP draws leave the
+     * detailed run's generator alone (Hcrac::warmInsert). Statistics
+     * still count the insert; warming callers reset stats before
+     * measuring.
      */
     void warmInsert(int owner_core, const dram::DramAddr &addr, int row);
-
-    /**
-     * Warm-state injection: adopt `other`'s table contents (per-table
-     * Hcrac::warmCopyFrom; table counts must match). Invalidator
-     * phase, the unlimited table and statistics are untouched.
-     */
-    void warmCopyFrom(const ChargeCacheProvider &other);
 
     int numTables() const { return static_cast<int>(tables_.size()); }
     const Hcrac &table(int idx) const { return *tables_[idx]; }

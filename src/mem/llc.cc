@@ -262,17 +262,6 @@ Llc::warmAccess(Addr line_addr, bool is_write, Addr *evicted_dirty)
 }
 
 void
-Llc::warmCopyTagsFrom(const Llc &other)
-{
-    if (other.sets_ != sets_ || other.config_.ways != config_.ways)
-        throw resilience::SimError(
-            resilience::ErrorKind::InvalidConfig,
-            "warm-state injection needs matching LLC geometry");
-    lines_ = other.lines_;
-    lruClock_ = other.lruClock_;
-}
-
-void
 Llc::fillCallback(void *ctx, const ctrl::Request &req, Cycle)
 {
     static_cast<Llc *>(ctx)->onFill(req.lineAddr);
@@ -285,10 +274,10 @@ Llc::saveState(resilience::SnapshotWriter &w) const
     // bytes, and snapshots must be byte-deterministic.
     w.put(static_cast<std::uint64_t>(lines_.size()));
     for (const Line &l : lines_) {
-        w.put(l.tag);
+        w.put(static_cast<std::uint64_t>(l.tag));
         w.put(l.lru);
-        w.put(l.valid);
-        w.put(l.dirty);
+        w.put(static_cast<bool>(l.valid));
+        w.put(static_cast<bool>(l.dirty));
     }
     w.put(lruClock_);
     std::map<Addr, const MshrEntry *> sorted;
@@ -326,10 +315,10 @@ Llc::loadState(resilience::SnapshotReader &r)
             resilience::ErrorKind::CorruptSnapshot,
             "LLC line-array size mismatch in snapshot");
     for (Line &l : lines_) {
-        r.get(l.tag);
+        l.tag = r.get<std::uint64_t>();
         r.get(l.lru);
-        r.get(l.valid);
-        r.get(l.dirty);
+        l.valid = r.get<bool>();
+        l.dirty = r.get<bool>();
     }
     r.get(lruClock_);
     mshrs_.clear();

@@ -169,24 +169,24 @@ class Llc
     bool warmAccess(Addr line_addr, bool is_write,
                     Addr *evicted_dirty = nullptr);
 
-    /**
-     * Warm-state injection: adopt `other`'s tag/LRU arrays (geometry
-     * must match or SimError{InvalidConfig} is thrown). Seeds a fresh
-     * detailed slice from a functionally warmed cache; MSHRs, queues
-     * and statistics are untouched.
-     */
-    void warmCopyTagsFrom(const Llc &other);
-
     /** Checkpoint: tag/LRU arrays, MSHRs, drain queues, park watches. */
     void saveState(resilience::SnapshotWriter &w) const;
     void loadState(resilience::SnapshotReader &r);
 
   private:
+    /**
+     * 16 bytes: the flags share a word with the tag (a tag is a line
+     * address shifted right by the set bits, so it never needs more
+     * than 58 bits). The 4 MB LLC's tag array is 1 MB instead of the
+     * 1.5 MB a padded 24-byte line takes, which matters when sampled
+     * slices keep one LLC per worker alive at once.
+     */
     struct Line {
-        std::uint64_t tag = 0;
+        Line() : tag(0), valid(0), dirty(0) {}
+        std::uint64_t tag : 62;
+        std::uint64_t valid : 1;
+        std::uint64_t dirty : 1;
         std::uint64_t lru = 0;
-        bool valid = false;
-        bool dirty = false;
     };
 
     struct MshrEntry {

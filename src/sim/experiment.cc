@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <future>
 #include <map>
+#include <tuple>
 
 #include "common/log.hh"
 #include "resilience/error.hh"
@@ -98,17 +99,21 @@ runMix(int mix_id, Scheme scheme, const ConfigTweak &tweak)
 double
 aloneIpc(const std::string &workload)
 {
-    // Per-workload shared_future memo: the first caller computes (off
-    // the lock), concurrent callers for the same workload wait on the
-    // same future instead of duplicating the simulation.
+    // Shared_future memo keyed on every input of the alone run: the
+    // first caller computes (off the lock), concurrent callers for the
+    // same key wait on the same future instead of duplicating the
+    // simulation.
+    using Key = std::tuple<std::string, std::uint64_t, std::uint64_t>;
     static std::mutex memo_mutex;
-    static std::map<std::string, std::shared_future<double>> memo;
+    static std::map<Key, std::shared_future<double>> memo;
 
+    const ExpScale scale = expScale();
+    const Key key{workload, scale.insts, scale.warmup};
     std::packaged_task<double()> task;
     std::shared_future<double> result;
     {
         std::lock_guard<std::mutex> lock(memo_mutex);
-        auto it = memo.find(workload);
+        auto it = memo.find(key);
         if (it != memo.end()) {
             result = it->second;
         } else {
@@ -116,7 +121,7 @@ aloneIpc(const std::string &workload)
                 return runSingle(workload, Scheme::Baseline).ipc.at(0);
             });
             result = task.get_future().share();
-            memo.emplace(workload, result);
+            memo.emplace(key, result);
         }
     }
     if (task.valid())

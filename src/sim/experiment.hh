@@ -62,9 +62,11 @@ SystemResult runMix(int mix_id, Scheme scheme,
                     const ConfigTweak &tweak = nullptr);
 
 /**
- * Baseline single-core IPC of `workload` (memoised across calls within
- * one process; thread-safe — concurrent callers for the same workload
- * share one computation) — the denominator of weighted speedup.
+ * Baseline single-core IPC of `workload` at the current expScale() —
+ * the denominator of weighted speedup. Memoised within one process on
+ * everything that shapes that run (workload, instructions, warm-up);
+ * thread-safe — concurrent callers for the same key share one
+ * computation.
  */
 double aloneIpc(const std::string &workload);
 

@@ -308,26 +308,6 @@ System::provider(int channel)
     return *providers_[channel];
 }
 
-void
-System::injectWarmState(
-    const mem::Llc &warm_llc,
-    const std::vector<const chargecache::ChargeCacheProvider *> &warm_cc)
-{
-    llc_->warmCopyTagsFrom(warm_llc);
-    if (warm_cc.empty())
-        return;
-    if (warm_cc.size() != providers_.size())
-        throw resilience::SimError(
-            resilience::ErrorKind::InvalidConfig,
-            "warm-state injection needs one HCRAC image per channel");
-    for (std::size_t ch = 0; ch < providers_.size(); ++ch) {
-        chargecache::ChargeCacheProvider *view =
-            providers_[ch]->chargeCacheView();
-        if (view && warm_cc[ch])
-            view->warmCopyFrom(*warm_cc[ch]);
-    }
-}
-
 OracleListener *
 System::oracleListener(int channel)
 {

@@ -31,7 +31,8 @@ namespace ccsim::trace {
  */
 TraceMeta writeTrace(cpu::TraceSource &src, const std::string &path,
                      std::uint64_t n_records,
-                     std::uint32_t records_per_block = 16384);
+                     std::uint32_t records_per_block =
+                         kDefaultRecordsPerBlock);
 
 /**
  * Record a named synthetic workload (workloads::profileByName) to
@@ -44,7 +45,8 @@ TraceMeta writeSyntheticTrace(const std::string &workload,
                               int n_cores, Addr capacity_lines,
                               const std::string &path,
                               std::uint64_t n_records,
-                              std::uint32_t records_per_block = 16384);
+                              std::uint32_t records_per_block =
+                                  kDefaultRecordsPerBlock);
 
 } // namespace ccsim::trace
 

@@ -68,8 +68,16 @@ inline constexpr std::uint8_t kBlockRecords = 1;
 inline constexpr std::uint8_t kBlockEnd = 2;
 
 /**
- * Hard ceiling on one block's payload. Real writers emit ~64 KiB
- * blocks; anything larger in a file is garbage masquerading as a
+ * Default records per block. Block size bounds a reader's resident
+ * memory: a 2048-record block decodes into 48 KiB of records next to
+ * its ~4-12 KiB payload, so one reader per core per concurrent sampled
+ * slice stays small. Readers accept any block size.
+ */
+inline constexpr std::uint32_t kDefaultRecordsPerBlock = 2048;
+
+/**
+ * Hard ceiling on one block's payload. Real writers emit blocks of a
+ * few KiB; anything larger in a file is garbage masquerading as a
  * length field, and rejecting it keeps the reader's readahead bounded
  * no matter what the bytes claim.
  */
@@ -92,14 +100,15 @@ class TraceWriter
 {
   public:
     /**
-     * @param records_per_block block granularity; the default keeps
-     *        payloads near 64 KiB. Tests shrink it to force many
+     * @param records_per_block block granularity (see
+     *        kDefaultRecordsPerBlock). Tests shrink it to force many
      *        blocks from tiny traces.
      * @throws resilience::SimError{IoError} when the temp file cannot
      *         be created.
      */
     explicit TraceWriter(const std::string &path,
-                         std::uint32_t records_per_block = 16384);
+                         std::uint32_t records_per_block =
+                             kDefaultRecordsPerBlock);
 
     /** Abandoned writers (no close()) delete their temp file. */
     ~TraceWriter();

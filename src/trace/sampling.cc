@@ -1,13 +1,16 @@
 #include "trace/sampling.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <exception>
 #include <limits>
 #include <memory>
 
 #include "common/random.hh"
 #include "obs/trace_event.hh"
 #include "resilience/error.hh"
+#include "sim/experiment.hh"
 #include "trace/replay.hh"
 
 namespace ccsim::trace {
@@ -357,6 +360,139 @@ SampledSimulation::clusterIntervals(std::vector<IntervalInfo> &ivs)
     return k;
 }
 
+std::uint64_t
+SampledSimulation::runSlice(const std::vector<IntervalInfo> &ivs,
+                            std::size_t rep, const sim::SimConfig &cfg,
+                            sim::SystemResult &result) const
+{
+    const int n = cfg.nCores;
+    const IntervalInfo &iv = ivs[rep];
+    // Functional warming needs the physical address stream; with the
+    // VM subsystem enabled the cores translate first, so warming is
+    // skipped and the detailed lead-in carries the full burden.
+    const bool funcWarm =
+        sampling_.functionalWarmInsts > 0 && !cfg.vm.enable;
+
+    // One reader per core. Each source seek-skips whole blocks (no
+    // decoding) to where warming starts, is read functionally up to
+    // the detailed lead-in, and then feeds its core from exactly
+    // there. Cores read lazily, so the System is built first and the
+    // warming writes straight into its LLC and HCRAC tables. The
+    // warm window starts at the latest profiled interval boundary at
+    // least functionalWarmInsts before the lead-in, because record
+    // indices are only known at boundaries.
+    struct WarmCursor {
+        std::uint64_t recIdx = 0;
+        std::uint64_t stopRec = 0;
+        std::uint64_t pos = 0; ///< Absolute instruction index.
+    };
+    std::vector<WarmCursor> cur(n);
+    std::vector<std::unique_ptr<TraceReplaySource>> srcs;
+    std::vector<cpu::TraceSource *> traces;
+    for (int cc = 0; cc < n; ++cc) {
+        const IntervalInfo::PerCore &pc = iv.cores[cc];
+        WarmCursor &wc = cur[cc];
+        wc.recIdx = wc.stopRec = pc.warmStartRecord;
+        if (funcWarm) {
+            std::size_t j = rep;
+            while (j > 0) {
+                const std::uint64_t s = ivs[j].cores[cc].startInst;
+                if (s <= pc.warmStartInst &&
+                    pc.warmStartInst - s >= sampling_.functionalWarmInsts)
+                    break;
+                --j;
+            }
+            wc.recIdx = ivs[j].cores[cc].startRecord;
+            wc.pos = ivs[j].cores[cc].startInst;
+        }
+        srcs.push_back(std::make_unique<TraceReplaySource>(paths_[cc]));
+        srcs.back()->reader().skipRecords(wc.recIdx);
+        traces.push_back(srcs.back().get());
+    }
+    sim::System sys(cfg, traces);
+
+    std::uint64_t functional = 0;
+    if (funcWarm) {
+        // SMARTS-style functional warming: replay the window into LLC
+        // tag/LRU/dirty state and HCRAC entries, with no timing.
+        obs::HostSpan span("sampling: functional warm", "sampling");
+        mem::Llc &llc = sys.llc();
+        // One table set per channel; empty unless the scheme carries
+        // an HCRAC (every channel runs the same scheme).
+        std::vector<chargecache::ChargeCacheProvider *> hcrac;
+        for (int ch = 0; ch < cfg.channels; ++ch)
+            if (auto *view = sys.provider(ch).chargeCacheView())
+                hcrac.push_back(view);
+        const dram::AddressMapper mapper(cfg.buildSpec().org,
+                                         cfg.mapping);
+        const int lineBytes = cfg.llc.lineBytes;
+        const bool linePow2 = (lineBytes & (lineBytes - 1)) == 0;
+        const int lineShift =
+            linePow2
+                ? log2Exact(static_cast<std::uint64_t>(lineBytes))
+                : 0;
+        // Merge the per-core streams by absolute instruction position
+        // (ties to the lowest core id) — a deterministic stand-in for
+        // the detailed interleave.
+        cpu::TraceRecord rec;
+        while (true) {
+            int pick = -1;
+            std::uint64_t best = std::numeric_limits<std::uint64_t>::max();
+            for (int cc = 0; cc < n; ++cc) {
+                if (cur[cc].recIdx >= cur[cc].stopRec)
+                    continue;
+                if (cur[cc].pos < best) {
+                    best = cur[cc].pos;
+                    pick = cc;
+                }
+            }
+            if (pick < 0)
+                break;
+            WarmCursor &wc = cur[pick];
+            if (!srcs[pick]->reader().next(rec)) {
+                wc.stopRec = wc.recIdx; // Defensive: short trace.
+                continue;
+            }
+            Addr line = linePow2
+                            ? rec.addr >> lineShift
+                            : rec.addr / static_cast<Addr>(lineBytes);
+            Addr victim = kNoAddr;
+            bool hit = llc.warmAccess(line, rec.isWrite, &victim);
+            if (!hcrac.empty()) {
+                // An LLC miss activates (and later precharges) the
+                // row, inserting it into the HCRAC; so does the
+                // writeback of a displaced dirty victim.
+                if (!hit) {
+                    dram::DramAddr da = mapper.decode(line);
+                    hcrac[da.channel]->warmInsert(pick, da, da.row);
+                }
+                if (victim != kNoAddr) {
+                    dram::DramAddr da = mapper.decode(victim);
+                    hcrac[da.channel]->warmInsert(-1, da, da.row);
+                }
+            }
+            wc.pos += rec.nonMemInsts + 1;
+            ++wc.recIdx;
+            ++functional;
+        }
+    }
+
+    obs::HostSpan span("sampling: detailed slice", "sampling");
+    result = sys.run();
+    return functional;
+}
+
+int
+sliceWorkers(const obs::ObsConfig &obs, std::size_t slices)
+{
+    if (obs.enable && (obs.hostTrace || !obs.timeSeriesPath.empty() ||
+                       !obs.traceEventPath.empty()))
+        return 1;
+    return static_cast<int>(std::clamp<std::size_t>(
+        slices, 1,
+        static_cast<std::size_t>(sim::ParallelRunner::defaultThreads())));
+}
+
 SampledResult
 SampledSimulation::run()
 {
@@ -366,7 +502,7 @@ SampledSimulation::run()
     {
         // Host wall-clock spans for the sampled-simulation stages
         // (no-ops unless a telemetry sink is attached; the detailed
-        // slices attach their own per-System sinks below).
+        // slices attach their own per-System sinks).
         obs::HostSpan span("sampling: profile", "sampling");
         out.intervals = profileTrace(perCoreInsts);
     }
@@ -379,20 +515,12 @@ SampledSimulation::run()
     }
     const auto &ivs = out.intervals;
 
-    // Functional warming needs the physical address stream; with the
-    // VM subsystem enabled the cores translate first, so warming is
-    // skipped and the detailed lead-in carries the full burden.
-    const bool funcWarm =
-        sampling_.functionalWarmInsts > 0 && !config_.vm.enable;
-    const dram::DramSpec spec = config_.buildSpec();
-    const dram::AddressMapper mapper(spec.org, config_.mapping);
-    const bool warmHcrac = config_.scheme == sim::Scheme::ChargeCache ||
-                           config_.scheme == sim::Scheme::ChargeCacheNuat;
-
-    // Representative per cluster: the member closest to the recomputed
-    // centroid (Lloyd's loop no longer holds it). Zero-record members
-    // contribute neither to the centroid nor as candidates — their
-    // signatures are synthetic zeros.
+    // 1. Pick the representatives serially, in cluster order: per
+    // cluster, the member closest to the recomputed centroid (Lloyd's
+    // loop no longer holds it). Zero-record members contribute neither
+    // to the centroid nor as candidates — their signatures are
+    // synthetic zeros.
+    std::vector<sim::SimConfig> cfgs;
     const std::size_t dim = ivs[0].signature.size();
     for (int c = 0; c < out.clusters; ++c) {
         std::vector<double> centroid(dim, 0.0);
@@ -441,125 +569,7 @@ SampledSimulation::run()
         if (cfg.targetInsts ==
             std::numeric_limits<std::uint64_t>::max())
             cfg.targetInsts = sampling_.intervalInsts;
-
-        // Fast-forward each core: seek-skip whole blocks to the warm
-        // lead-in (no decoding).
-        std::vector<std::unique_ptr<TraceReplaySource>> srcs;
-        std::vector<cpu::TraceSource *> traces;
-        for (int cc = 0; cc < n; ++cc) {
-            srcs.push_back(
-                std::make_unique<TraceReplaySource>(paths_[cc]));
-            srcs.back()->reader().skipRecords(
-                iv.cores[cc].warmStartRecord);
-            traces.push_back(srcs.back().get());
-        }
-        sim::System sys(cfg, traces);
-
-        if (funcWarm) {
-            // SMARTS-style functional warming: replay the stretch
-            // before the detailed lead-in into LLC tag/LRU/dirty state
-            // and HCRAC entries, with no timing. The window start
-            // snaps to the latest profiled interval boundary at least
-            // functionalWarmInsts before the lead-in, because record
-            // indices are only known at boundaries.
-            obs::HostSpan span("sampling: functional warm", "sampling");
-            mem::Llc warmLlc(
-                cfg.llc, mapper, [](int) -> ctrl::MemPort * {
-                    return nullptr;
-                },
-                nullptr);
-            std::vector<std::unique_ptr<
-                chargecache::ChargeCacheProvider>> warmCc;
-            if (warmHcrac)
-                for (int ch = 0; ch < cfg.channels; ++ch)
-                    warmCc.push_back(
-                        std::make_unique<
-                            chargecache::ChargeCacheProvider>(
-                            spec.timing, cfg.cc, n));
-
-            struct WarmCursor {
-                std::unique_ptr<TraceReader> rd;
-                std::uint64_t recIdx = 0;
-                std::uint64_t stopRec = 0;
-                std::uint64_t pos = 0; ///< Absolute instruction index.
-            };
-            std::vector<WarmCursor> cur(n);
-            for (int cc = 0; cc < n; ++cc) {
-                std::size_t j = rep;
-                while (j > 0) {
-                    const std::uint64_t s = ivs[j].cores[cc].startInst;
-                    if (s <= iv.cores[cc].warmStartInst &&
-                        iv.cores[cc].warmStartInst - s >=
-                            sampling_.functionalWarmInsts)
-                        break;
-                    --j;
-                }
-                cur[cc].rd = std::make_unique<TraceReader>(paths_[cc]);
-                cur[cc].recIdx = ivs[j].cores[cc].startRecord;
-                cur[cc].pos = ivs[j].cores[cc].startInst;
-                cur[cc].stopRec = iv.cores[cc].warmStartRecord;
-                cur[cc].rd->skipRecords(cur[cc].recIdx);
-            }
-            // Merge the per-core streams by absolute instruction
-            // position (ties to the lowest core id) — a deterministic
-            // stand-in for the detailed interleave.
-            const int lineBytes = cfg.llc.lineBytes;
-            const bool linePow2 = (lineBytes & (lineBytes - 1)) == 0;
-            const int lineShift =
-                linePow2 ? log2Exact(
-                               static_cast<std::uint64_t>(lineBytes))
-                         : 0;
-            cpu::TraceRecord rec;
-            while (true) {
-                int pick = -1;
-                std::uint64_t best =
-                    std::numeric_limits<std::uint64_t>::max();
-                for (int cc = 0; cc < n; ++cc) {
-                    if (cur[cc].recIdx >= cur[cc].stopRec)
-                        continue;
-                    if (cur[cc].pos < best) {
-                        best = cur[cc].pos;
-                        pick = cc;
-                    }
-                }
-                if (pick < 0)
-                    break;
-                WarmCursor &wc = cur[pick];
-                if (!wc.rd->next(rec)) {
-                    wc.stopRec = wc.recIdx; // Defensive: short trace.
-                    continue;
-                }
-                Addr line = linePow2
-                                ? rec.addr >> lineShift
-                                : rec.addr / static_cast<Addr>(
-                                                 lineBytes);
-                Addr victim = kNoAddr;
-                bool hit =
-                    warmLlc.warmAccess(line, rec.isWrite, &victim);
-                if (!warmCc.empty()) {
-                    // An LLC miss activates (and later precharges) the
-                    // row, inserting it into the HCRAC; so does the
-                    // writeback of a displaced dirty victim.
-                    if (!hit) {
-                        dram::DramAddr da = mapper.decode(line);
-                        warmCc[da.channel]->warmInsert(pick, da,
-                                                       da.row);
-                    }
-                    if (victim != kNoAddr) {
-                        dram::DramAddr da = mapper.decode(victim);
-                        warmCc[da.channel]->warmInsert(-1, da, da.row);
-                    }
-                }
-                wc.pos += rec.nonMemInsts + 1;
-                ++wc.recIdx;
-                ++out.functionalInsts;
-            }
-            std::vector<const chargecache::ChargeCacheProvider *>
-                views;
-            for (const auto &p : warmCc)
-                views.push_back(p.get());
-            sys.injectWarmState(warmLlc, views);
-        }
+        cfgs.push_back(cfg);
 
         SampledSlice slice;
         slice.interval = rep;
@@ -573,13 +583,48 @@ SampledSimulation::run()
                     static_cast<double>(perCoreInsts[cc]);
         slice.measuredInsts =
             static_cast<std::uint64_t>(n) * cfg.targetInsts;
-        {
-            obs::HostSpan span("sampling: detailed slice", "sampling");
-            slice.result = sys.run();
-        }
-        out.detailedInsts += static_cast<std::uint64_t>(n) *
-                             (cfg.warmupInsts + cfg.targetInsts);
         out.slices.push_back(std::move(slice));
+    }
+
+    // 2. One job per slice on the pool: each owns its readers, its
+    // warm state and its System, so the slices share nothing mutable.
+    // A failing slice's error is kept per slice and the lowest-index
+    // one is rethrown, so errors come back in cluster order like the
+    // results. Slices after a known failure are skipped; none before
+    // it is, so the first failing slice always runs.
+    const std::size_t nSlices = out.slices.size();
+    std::vector<std::uint64_t> functional(nSlices, 0);
+    std::vector<std::exception_ptr> errors(nSlices);
+    {
+        std::atomic<std::size_t> firstFailed{nSlices};
+        sim::ParallelRunner pool(sliceWorkers(config_.obs, nSlices));
+        for (std::size_t i = 0; i < nSlices; ++i)
+            pool.enqueue([&, i] {
+                if (i > firstFailed.load())
+                    return;
+                try {
+                    functional[i] = runSlice(ivs, out.slices[i].interval,
+                                             cfgs[i],
+                                             out.slices[i].result);
+                } catch (...) {
+                    errors[i] = std::current_exception();
+                    std::size_t seen = firstFailed.load();
+                    while (i < seen &&
+                           !firstFailed.compare_exchange_weak(seen, i)) {
+                    }
+                }
+            });
+        pool.waitAll();
+    }
+    for (const std::exception_ptr &err : errors)
+        if (err)
+            std::rethrow_exception(err);
+
+    // 3. Fold the slices in cluster order.
+    for (std::size_t i = 0; i < out.slices.size(); ++i) {
+        out.detailedInsts += static_cast<std::uint64_t>(n) *
+                             (cfgs[i].warmupInsts + cfgs[i].targetInsts);
+        out.functionalInsts += functional[i];
     }
 
     // Aggregate headline metrics. Per-core IPC combines as a harmonic

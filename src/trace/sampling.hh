@@ -28,12 +28,16 @@
  *     the recomputed centroid) runs detailed. Fast-forward is a
  *     whole-block seek-skip (TraceReader::skipRecords, no decode);
  *     the last `functionalWarmInsts` before the detailed lead-in are
- *     replayed *functionally* — records update LLC tags/LRU/dirty and
- *     HCRAC entries with no timing — and the warm state is injected
- *     into the slice System, so the detailed lead-in only re-warms
- *     in-flight machine state and `warmupInsts` can drop from the
- *     ~1.5M-instruction LLC horizon to ~100k. Slices run serially so
- *     reported speedups are honest wall-clock.
+ *     replayed *functionally* — records update the slice System's
+ *     own LLC tags/LRU/dirty and HCRAC entries in place, with no
+ *     timing — so the detailed lead-in only re-warms in-flight
+ *     machine state and `warmupInsts` can drop from the
+ *     ~1.5M-instruction LLC horizon to ~100k. Each core's one trace
+ *     reader does the fast-forward, the warming and then the detailed
+ *     feed. Representatives are picked serially; the slices then run
+ *     as independent jobs on a sim::ParallelRunner (CCSIM_THREADS,
+ *     else every hardware thread) and fold back in cluster order, so
+ *     the result does not depend on the worker count.
  *  4. Aggregate: per-core IPC combines as an instruction-weighted
  *     harmonic mean over each core's own instruction shares; shared
  *     LLC/HCRAC hit rates weight by each slice's activation rate —
@@ -157,11 +161,31 @@ class SampledSimulation
     profileTrace(std::vector<std::uint64_t> &per_core_insts);
     /** k-means++ over signatures; returns cluster count. */
     int clusterIntervals(std::vector<IntervalInfo> &intervals);
+    /**
+     * One representative slice: fast-forward one reader per core,
+     * functionally warm the slice System's own LLC and HCRAC tables,
+     * then run it detailed into `result`. Touches nothing but its own
+     * readers and System, so slices run concurrently.
+     * @return records replayed functionally.
+     */
+    std::uint64_t runSlice(const std::vector<IntervalInfo> &intervals,
+                           std::size_t rep, const sim::SimConfig &cfg,
+                           sim::SystemResult &result) const;
 
     sim::SimConfig config_;
     std::vector<std::string> paths_; ///< One per core.
     SamplingConfig sampling_;
 };
+
+/**
+ * Worker count of a sampled run's slice pool: ParallelRunner's default
+ * (CCSIM_THREADS, else every hardware thread) capped at `slices`. One
+ * when telemetry reaches outside a slice's System — the process-wide
+ * host tracer every System attaches and detaches, or an output file
+ * every slice writes under the same name — so those slices run in
+ * cluster order, as a serial run would.
+ */
+int sliceWorkers(const obs::ObsConfig &obs, std::size_t slices);
 
 } // namespace ccsim::trace
 

@@ -1,9 +1,10 @@
 /**
  * @file
  * Shared kernel-equivalence scaffolding: bit-identical SystemResult /
- * CoreStats comparators and the CCSIM_PARANOID env upgrade, used by the
- * kernel-equivalence suites (tests/test_system.cc) and every other
- * suite that compares whole runs.
+ * CoreStats comparators, the CCSIM_PARANOID env upgrade and a scoped
+ * environment setter, used by the kernel-equivalence suites
+ * (tests/test_system.cc) and every other suite that compares whole
+ * runs.
  */
 
 #ifndef CCSIM_TESTS_SYSTEM_COMPARE_HH
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 
 #include "sim/config.hh"
 #include "sim/system.hh"
@@ -38,6 +40,33 @@ applyEnvParanoia(sim::SimConfig &cfg)
     if (cfg.kernel != sim::KernelMode::PerCycle && envParanoid())
         cfg.kernelParanoid = true;
 }
+
+/** Sets an environment variable for one scope, then restores it. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, const char *value) : name_(name)
+    {
+        if (const char *old = std::getenv(name))
+            old_ = old;
+        ::setenv(name, value, 1);
+    }
+
+    ~ScopedEnv()
+    {
+        if (old_.empty())
+            ::unsetenv(name_);
+        else
+            ::setenv(name_, old_.c_str(), 1);
+    }
+
+    ScopedEnv(const ScopedEnv &) = delete;
+    ScopedEnv &operator=(const ScopedEnv &) = delete;
+
+  private:
+    const char *name_;
+    std::string old_;
+};
 
 /** Every field of SystemResult must agree bit for bit. */
 inline void

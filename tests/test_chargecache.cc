@@ -137,6 +137,31 @@ TEST(Hcrac, BipMostlyInsertsAtLru)
     EXPECT_LT(promoted, 30);
 }
 
+TEST(Hcrac, WarmInsertLeavesBipDrawsAlone)
+{
+    // Functional warming fills a BIP table as the same inserts would
+    // fill a fresh one, but through its own generator: once the warm
+    // entries are gone, the table makes the same draws as one that was
+    // never warmed.
+    const Hcrac::Params params{64, 2, InsertPolicy::Bip, 0.5, 7};
+    Hcrac warmed(params), fresh(params), unwarmed(params);
+    for (std::uint64_t k = 0; k < 200; ++k) {
+        warmed.warmInsert(k);
+        fresh.insert(k);
+    }
+    EXPECT_EQ(warmed.validCount(), fresh.validCount());
+    for (std::uint64_t k = 0; k < 200; ++k)
+        EXPECT_EQ(warmed.lookup(k), fresh.lookup(k)) << "key " << k;
+
+    warmed.invalidateAll();
+    for (std::uint64_t k = 1000; k < 1600; ++k) {
+        warmed.insert(k);
+        unwarmed.insert(k);
+        EXPECT_EQ(warmed.lookup(k - 3), unwarmed.lookup(k - 3))
+            << "key " << k - 3;
+    }
+}
+
 // ---------------------------------------------------------------------
 // SweepInvalidator (the paper's IIC/EC counters).
 

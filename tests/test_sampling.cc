@@ -3,8 +3,9 @@
  * SimPoint-style sampled simulation suite (`trace` ctest label):
  * interval accounting, clustering determinism (across runs AND across
  * the three kernels — functional warming must be a pure function of
- * the record streams), config validation, warm-state injection
- * surfaces, multi-core co-phase sampling, and sampled-vs-full accuracy
+ * the record streams), parallel slices bit-identical to serial ones,
+ * config validation, the in-place warming surfaces, multi-core
+ * co-phase sampling, and sampled-vs-full accuracy
  * on phase-rich analytics traces. The tight 3% acceptance gate at
  * >= 100M instructions lives in bench/abl_sampling.cpp
  * (CCSIM_SAMPLING_GATE); this suite pins the mechanisms at test scale
@@ -29,6 +30,7 @@
 #include "trace/datacenter.hh"
 #include "trace/replay.hh"
 #include "trace/sampling.hh"
+#include "system_compare.hh"
 
 namespace ccsim::sim {
 namespace {
@@ -295,82 +297,181 @@ TEST(Sampling, DeterministicAcrossKernelsAndRuns)
 
 TEST(Sampling, WarmInjectLlcTagState)
 {
-    SimConfig cfg = sampleConfig();
-    dram::DramSpec spec = cfg.buildSpec();
-    dram::AddressMapper mapper(spec.org, cfg.mapping);
-    auto route = [](int) -> ctrl::MemPort * { return nullptr; };
-    mem::Llc warm(cfg.llc, mapper, route, nullptr);
-    const Addr sets = static_cast<Addr>(warm.numSets());
-    const int ways = cfg.llc.ways;
+    // Functional warming writes straight into the slice System's LLC:
+    // tags/LRU/dirty update with no timing, and the detailed path then
+    // hits a warmed line without memory traffic.
+    System sys(sampleConfig(), std::vector<std::string>{"tpch6"});
+    mem::Llc &llc = sys.llc();
+    const Addr sets = static_cast<Addr>(llc.numSets());
+    const int ways = sys.config().llc.ways;
 
     // Cold miss installs; the second touch hits and can dirty it.
-    EXPECT_FALSE(warm.warmAccess(5, false));
-    EXPECT_TRUE(warm.warmAccess(5, true));
+    EXPECT_FALSE(llc.warmAccess(5, false));
+    EXPECT_TRUE(llc.warmAccess(5, true));
 
     // Fill the rest of set 5; no evictions while invalid ways remain.
     for (int w = 1; w < ways; ++w) {
         Addr victim = 123;
-        EXPECT_FALSE(
-            warm.warmAccess(5 + static_cast<Addr>(w) * sets, false,
-                            &victim));
+        EXPECT_FALSE(llc.warmAccess(5 + static_cast<Addr>(w) * sets,
+                                    false, &victim));
         EXPECT_EQ(victim, kNoAddr);
     }
     // One more line in the set evicts the LRU line (5, dirty).
     Addr victim = kNoAddr;
-    EXPECT_FALSE(warm.warmAccess(5 + static_cast<Addr>(ways) * sets,
-                                 false, &victim));
+    EXPECT_FALSE(llc.warmAccess(5 + static_cast<Addr>(ways) * sets, false,
+                                &victim));
     EXPECT_EQ(victim, static_cast<Addr>(5));
 
-    // Injection: a detailed-path access on the receiving LLC hits for
-    // a warmed line without any memory traffic.
-    mem::Llc cold(cfg.llc, mapper, route, nullptr);
-    cold.warmCopyTagsFrom(warm);
-    EXPECT_EQ(cold.access(0, 5 + sets, false, 0),
-              mem::Llc::Result::Hit);
-    EXPECT_TRUE(cold.warmAccess(5 + static_cast<Addr>(ways) * sets,
-                                false));
-
-    // Geometry mismatches are structured errors, not corruption.
-    mem::LlcConfig small_cfg = cfg.llc;
-    small_cfg.sizeBytes = 1 << 20;
-    mem::Llc small(small_cfg, mapper, route, nullptr);
-    EXPECT_THROW(small.warmCopyTagsFrom(warm), SimError);
+    // The detailed path sees the warmed tags; warming counted nothing.
+    EXPECT_EQ(llc.access(0, 5 + sets, false, 0), mem::Llc::Result::Hit);
+    EXPECT_EQ(llc.stats().accesses, 1u);
+    EXPECT_EQ(llc.stats().misses, 0u);
 }
 
 TEST(Sampling, WarmInjectHcracAndProvider)
 {
-    chargecache::Hcrac::Params hp;
-    chargecache::Hcrac a(hp), b(hp);
-    a.insert(0x123);
-    a.insert(0x456);
-    b.warmCopyFrom(a);
-    EXPECT_TRUE(b.lookup(0x123));
-    EXPECT_TRUE(b.lookup(0x456));
-    EXPECT_FALSE(b.lookup(0x789));
-
-    chargecache::Hcrac::Params small = hp;
-    small.entries = hp.entries / 2;
-    chargecache::Hcrac c(small);
-    EXPECT_THROW(c.warmCopyFrom(a), SimError);
-
-    // Provider-level warm insert feeds the same table onActivate
-    // probes, and warmCopyFrom carries it into a cold provider.
-    SimConfig cfg = sampleConfig();
-    dram::DramSpec spec = cfg.buildSpec();
-    chargecache::ChargeCacheProvider warm_cc(spec.timing, cfg.cc, 1);
+    // Provider-level warm inserts land in the table the slice System's
+    // controller probes on activation, for both HCRAC-carrying schemes.
     dram::DramAddr da;
     da.channel = 0;
     da.rank = 0;
     da.bank = 1;
     da.row = 7;
-    warm_cc.warmInsert(0, da, da.row);
-
-    chargecache::ChargeCacheProvider cold_cc(spec.timing, cfg.cc, 1);
-    cold_cc.warmCopyFrom(warm_cc);
-    EXPECT_TRUE(cold_cc.onActivate(0, da, 0).reduced);
     dram::DramAddr other = da;
     other.row = 9;
-    EXPECT_FALSE(cold_cc.onActivate(0, other, 0).reduced);
+    for (Scheme scheme : {Scheme::ChargeCache, Scheme::ChargeCacheNuat}) {
+        SCOPED_TRACE(schemeName(scheme));
+        SimConfig cfg = sampleConfig();
+        cfg.scheme = scheme;
+        System sys(cfg, std::vector<std::string>{"tpch6"});
+        chargecache::ChargeCacheProvider *cc =
+            sys.provider(0).chargeCacheView();
+        ASSERT_NE(cc, nullptr);
+        cc->warmInsert(0, da, da.row);
+        EXPECT_TRUE(cc->onActivate(0, da, 0).reduced);
+        EXPECT_FALSE(cc->onActivate(0, other, 0).reduced);
+    }
+
+    // Schemes without an HCRAC expose no table, so warming skips them.
+    SimConfig base = sampleConfig();
+    base.scheme = Scheme::Baseline;
+    System sys(base, std::vector<std::string>{"tpch6"});
+    EXPECT_EQ(sys.provider(0).chargeCacheView(), nullptr);
+}
+
+/** Every field of two sampled runs, slice by slice, bit for bit. */
+void
+expectIdenticalSampled(const trace::SampledResult &a,
+                       const trace::SampledResult &b)
+{
+    EXPECT_EQ(a.totalInsts, b.totalInsts);
+    EXPECT_EQ(a.detailedInsts, b.detailedInsts);
+    EXPECT_EQ(a.functionalInsts, b.functionalInsts);
+    EXPECT_EQ(a.clusters, b.clusters);
+    ASSERT_EQ(a.intervals.size(), b.intervals.size());
+    for (std::size_t i = 0; i < a.intervals.size(); ++i) {
+        EXPECT_EQ(a.intervals[i].cluster, b.intervals[i].cluster);
+        EXPECT_EQ(a.intervals[i].signature, b.intervals[i].signature);
+    }
+    ASSERT_EQ(a.slices.size(), b.slices.size());
+    for (std::size_t i = 0; i < a.slices.size(); ++i) {
+        const trace::SampledSlice &sa = a.slices[i], &sb = b.slices[i];
+        const std::string label = "slice " + std::to_string(i);
+        EXPECT_EQ(sa.interval, sb.interval) << label;
+        EXPECT_EQ(sa.weight, sb.weight) << label;
+        EXPECT_EQ(sa.coreWeight, sb.coreWeight) << label;
+        EXPECT_EQ(sa.measuredInsts, sb.measuredInsts) << label;
+        test::expectIdenticalResults(sa.result, sb.result, label.c_str());
+    }
+    test::expectIdenticalResults(a.aggregate, b.aggregate, "aggregate");
+}
+
+TEST(Sampling, ParallelSlicesBitIdentical)
+{
+    // Slices run on a ParallelRunner and fold back in cluster order, so
+    // one worker and four give the same result, field for field. Four
+    // workers also give ThreadSanitizer real concurrency to check on
+    // any host.
+    const std::string p0 = writeAnalyticsTrace(120000, 42, 0, "ps0");
+    const std::string p1 =
+        writeAnalyticsTrace(120000, 91, 1 << 21, "ps1");
+    trace::SamplingConfig sc;
+    sc.intervalInsts = 40000;
+    sc.warmupInsts = 8000;
+    sc.functionalWarmInsts = 80000;
+    sc.maxClusters = 4;
+
+    SimConfig one = sampleConfig();
+    test::applyEnvParanoia(one);
+    SimConfig two = one;
+    two.nCores = 2;
+    const std::vector<std::pair<SimConfig, std::vector<std::string>>> runs =
+        {{one, {p0}}, {two, {p0, p1}}};
+    for (const auto &[cfg, paths] : runs) {
+        SCOPED_TRACE(std::to_string(cfg.nCores) + " core(s)");
+        trace::SampledResult serial, parallel;
+        {
+            test::ScopedEnv env("CCSIM_THREADS", "1");
+            serial = trace::SampledSimulation(cfg, paths, sc).run();
+        }
+        {
+            test::ScopedEnv env("CCSIM_THREADS", "4");
+            parallel = trace::SampledSimulation(cfg, paths, sc).run();
+        }
+        ASSERT_GT(serial.slices.size(), 1u);
+        EXPECT_GT(serial.functionalInsts, 0u);
+        expectIdenticalSampled(serial, parallel);
+    }
+    std::remove(p0.c_str());
+    std::remove(p1.c_str());
+}
+
+TEST(Sampling, SliceWorkersSerialiseSharedTelemetry)
+{
+    // Slices run concurrently unless telemetry reaches outside their
+    // Systems: the one process-wide host-tracer sink, or an output file
+    // every slice writes under the same name, keeps them on one worker.
+    test::ScopedEnv env("CCSIM_THREADS", "4");
+    obs::ObsConfig obs;
+    EXPECT_EQ(trace::sliceWorkers(obs, 6), 4);
+    EXPECT_EQ(trace::sliceWorkers(obs, 3), 3);
+    EXPECT_EQ(trace::sliceWorkers(obs, 0), 1);
+    obs.hostTrace = true; // Inert while telemetry is off.
+    EXPECT_EQ(trace::sliceWorkers(obs, 6), 4);
+    obs.enable = true;
+    EXPECT_EQ(trace::sliceWorkers(obs, 6), 1);
+    obs.hostTrace = false;
+    EXPECT_EQ(trace::sliceWorkers(obs, 6), 4);
+    obs.timeSeriesPath = "series.csv";
+    EXPECT_EQ(trace::sliceWorkers(obs, 6), 1);
+    obs.timeSeriesPath.clear();
+    obs.traceEventPath = "trace.json";
+    EXPECT_EQ(trace::sliceWorkers(obs, 6), 1);
+}
+
+TEST(Sampling, HostTracedSlicesMatchUntraced)
+{
+    // Every System with host tracing on attaches its own sink to the
+    // one process-wide HostTracer, so traced slices share one worker.
+    // Telemetry only observes: the result matches an untraced run.
+    const std::string path = writeAnalyticsTrace(120000);
+    trace::SamplingConfig sc;
+    sc.intervalInsts = 40000;
+    sc.warmupInsts = 8000;
+    sc.maxClusters = 4;
+    test::ScopedEnv env("CCSIM_THREADS", "4");
+
+    SimConfig plain = sampleConfig();
+    SimConfig traced = plain;
+    traced.obs.enable = true;
+    traced.obs.hostTrace = true;
+    const trace::SampledResult a =
+        trace::SampledSimulation(plain, path, sc).run();
+    const trace::SampledResult b =
+        trace::SampledSimulation(traced, path, sc).run();
+    ASSERT_GT(a.slices.size(), 1u);
+    expectIdenticalSampled(a, b);
+    std::remove(path.c_str());
 }
 
 TEST(Sampling, SampledTracksFullRunAtTestScale)

@@ -550,6 +550,34 @@ TEST_F(FiniteTraceFile, ChargeCacheSchemeOnTraces)
     EXPECT_LE(r.hcracHitRate, 1.0);
 }
 
+TEST(Experiment, AloneIpcMemoKeysOnScale)
+{
+    // The memo must never hand one caller's alone run to another whose
+    // scale differs: each (instructions, warm-up) gets its own run.
+    test::ScopedEnv insts("CCSIM_INSTS", "6000");
+    test::ScopedEnv warmup("CCSIM_WARMUP", "1000");
+    auto direct = [] {
+        return runSingle("mcf", Scheme::Baseline).ipc.at(0);
+    };
+    const double base = aloneIpc("mcf");
+    EXPECT_EQ(base, direct());
+    {
+        test::ScopedEnv longer("CCSIM_INSTS", "12000");
+        const double longRun = aloneIpc("mcf");
+        EXPECT_EQ(longRun, direct());
+        EXPECT_NE(longRun, base);
+        EXPECT_EQ(weightedSpeedup({"mcf"}, {longRun}), 1.0);
+    }
+    {
+        test::ScopedEnv shorterWarmup("CCSIM_WARMUP", "200");
+        const double coldRun = aloneIpc("mcf");
+        EXPECT_EQ(coldRun, direct());
+        EXPECT_NE(coldRun, base);
+    }
+    EXPECT_EQ(aloneIpc("mcf"), base);
+    EXPECT_EQ(weightedSpeedup({"mcf"}, {base}), 1.0);
+}
+
 TEST(Experiment, WeightedSpeedupOfIdenticalIpcIsCoreCount)
 {
     // With IPCshared == IPCalone for every app, WS == nCores.
