@@ -38,11 +38,7 @@ MemoryController::MemoryController(const dram::DramSpec &spec,
             bankPtr_.push_back(&channel_.rank(rank).bank(bank));
     readBankCount_.assign(bankPtr_.size(), 0);
     writeBankCount_.assign(bankPtr_.size(), 0);
-    CCSIM_ASSERT(config_.useBankLists == config_.useServeHorizon,
-                 "the serve-horizon scheduler is the bank-list scan: "
-                 "both event kernels use it, the per-cycle reference "
-                 "uses neither");
-    if (config_.useBankLists) {
+    if (config_.useServeHorizon) {
         readBankHead_.assign(bankPtr_.size(), -1);
         readBankTail_.assign(bankPtr_.size(), -1);
         writeBankHead_.assign(bankPtr_.size(), -1);
@@ -195,7 +191,7 @@ MemoryController::enqueue(Request req)
             return;
         }
         nextServeTry_ = 0; // New candidate: the scheduler must rescan.
-        if (config_.useBankLists) {
+        if (config_.useServeHorizon) {
             enqueueListed(std::move(req), false);
             return;
         }
@@ -207,7 +203,7 @@ MemoryController::enqueue(Request req)
         ++stats_.writes;
         horizonDirty_ = true;
         nextServeTry_ = 0; // New candidate: the scheduler must rescan.
-        if (config_.useBankLists) {
+        if (config_.useServeHorizon) {
             enqueueListed(std::move(req), true);
             return;
         }
@@ -789,7 +785,7 @@ MemoryController::saveState(resilience::SnapshotWriter &w) const
     // pool stores them unordered, so collect and sort by arrival seq.
     auto put_queue = [&](bool is_write) {
         std::vector<const QueuedReq *> reqs;
-        if (config_.useBankLists) {
+        if (config_.useServeHorizon) {
             std::vector<bool> free_slot(slots_.size(), false);
             for (int s : freeSlots_)
                 free_slot[static_cast<std::size_t>(s)] = true;
@@ -874,7 +870,7 @@ MemoryController::loadState(resilience::SnapshotReader &r,
     std::fill(writeBankCount_.begin(), writeBankCount_.end(), 0);
     slots_.clear();
     freeSlots_.clear();
-    if (config_.useBankLists) {
+    if (config_.useServeHorizon) {
         std::fill(readBankHead_.begin(), readBankHead_.end(), -1);
         std::fill(readBankTail_.begin(), readBankTail_.end(), -1);
         std::fill(writeBankHead_.begin(), writeBankHead_.end(), -1);
@@ -891,7 +887,7 @@ MemoryController::loadState(resilience::SnapshotReader &r,
             bool serviced = r.get<bool>();
             if (is_write)
                 writeLines_.insert(req.lineAddr);
-            if (config_.useBankLists) {
+            if (config_.useServeHorizon) {
                 const std::size_t bi = bankIndexOf(req.addr);
                 enqueueListed(std::move(req), is_write);
                 int s = (is_write ? writeBankTail_ : readBankTail_)[bi];

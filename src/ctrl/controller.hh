@@ -59,11 +59,15 @@ struct CtrlConfig {
     std::vector<double> rltlWindowsMs = {0.125, 0.25, 0.5, 1.0, 8.0, 32.0};
     double rltlRefreshWindowMs = 8.0;
     /**
-     * Cache a scheduler horizon after fruitless FR-FCFS scans and skip
-     * scans inside it (part of the event-skipping machinery). Disabled
-     * by the PerCycle reference kernel, which scans every tick exactly
-     * like the seed loop — so the kernel-equivalence tests also verify
-     * the horizon against exhaustive scanning.
+     * Calendar kernel scheduler: cache a scheduler horizon after
+     * fruitless FR-FCFS scans and skip scans inside it, and keep
+     * queued requests on per-bank and per-row arrival-ordered lists
+     * (a slot pool) so an issuing scan selects the FR-FCFS winner in
+     * O(banks touched) instead of walking the queue in arrival order.
+     * Disabled by the PerCycle reference kernel, which keeps the seed
+     * loop's exhaustive arrival-order scan every tick — so the
+     * kernel-equivalence tests verify both the horizon and the
+     * list-based selection against it.
      */
     bool useServeHorizon = true;
     /**
@@ -72,17 +76,6 @@ struct CtrlConfig {
      * scan-skipping decision (set by SimConfig::kernelParanoid).
      */
     bool paranoidSchedule = false;
-    /**
-     * Event kernels: keep queued requests on per-bank and per-row
-     * arrival-ordered lists so an issuing scan selects the FR-FCFS
-     * winner in O(banks touched) instead of walking the queue in
-     * arrival order. Must equal useServeHorizon (the per-bank
-     * readiness pass is shared; asserted in the constructor) — the
-     * PerCycle reference keeps its exhaustive arrival-order scan, so
-     * the kernel-equivalence tests verify the list-based selection
-     * against it.
-     */
-    bool useBankLists = true;
 };
 
 /** Aggregate controller statistics. */
@@ -198,33 +191,20 @@ class MemoryController : public MemPort
         return dirty;
     }
 
-    /**
-     * One controller cycle for the event kernel: run tick() if it could
-     * do work this cycle, else elide it as a pure clock advance.
-     */
-    bool
-    tickOrSkip()
-    {
-        if (nextEventAt() <= now_)
-            return tick();
-        ++now_; // Provably idle: equivalent to tick() with no work.
-        return false;
-    }
-
     Cycle now() const { return now_; }
 
-    /** Queued reads (deque or slot-pool storage, per useBankLists). */
+    /** Queued reads (deque or slot-pool storage, per useServeHorizon). */
     std::size_t
     readCount() const
     {
-        return config_.useBankLists ? readSize_ : readQ_.size();
+        return config_.useServeHorizon ? readSize_ : readQ_.size();
     }
 
     /** Queued writes. */
     std::size_t
     writeCount() const
     {
-        return config_.useBankLists ? writeSize_ : writeQ_.size();
+        return config_.useServeHorizon ? writeSize_ : writeQ_.size();
     }
 
     /** Outstanding queued requests (reads + writes). */
@@ -310,12 +290,10 @@ class MemoryController : public MemPort
         cycle, and (for the rest) the earliest cycle that could change. */
     void scanBanks(bool is_write, std::uint64_t &hit_ready,
                    std::uint64_t &drive_ready, Cycle &bound);
-    /** Event-kernel FR-FCFS scan (EventSkip and Calendar): selects the
-        winner directly from the per-bank / per-row arrival-ordered
-        lists — O(banks touched), no arrival-order walk. (The interim
-        key-mirror scan the EventSkip kernel soaked on was folded away
-        once the bank lists proved bit-identical.) Equivalence-tested
-        against serveQueueReference. */
+    /** Calendar-kernel FR-FCFS scan: selects the winner directly from
+        the per-bank / per-row arrival-ordered lists — O(banks
+        touched), no arrival-order walk. Equivalence-tested against
+        serveQueueReference. */
     bool serveQueueBankLists(bool is_write);
     /** The seed's two-pass FR-FCFS scan, preserved verbatim as the
         PerCycle reference — the oracle the kernel-equivalence tests
@@ -325,7 +303,7 @@ class MemoryController : public MemPort
                           std::uint64_t skip_token) const;
     void classify(QueuedReq &qr);
 
-    // ---- slot-pool storage (useBankLists) ---------------------------
+    // ---- slot-pool storage (useServeHorizon) ------------------------
     int allocSlot();
     void enqueueListed(Request req, bool is_write);
     void unlinkSlot(int slot, bool is_write);
@@ -388,11 +366,11 @@ class MemoryController : public MemPort
      * the scheduler-horizon bound) in O(1), and make the closed-row
      * auto-precharge test ("is another hit to this row queued?") O(1)
      * instead of a scan of both queues. Maintained only when
-     * useBankLists (== useServeHorizon).
+     * useServeHorizon.
      */
     struct RowList {
         int count = 0;
-        int head = -1; ///< Oldest slot for this row (useBankLists).
+        int head = -1; ///< Oldest slot for this row (slot pool).
         int tail = -1;
     };
     std::unordered_map<std::uint64_t, RowList> readRows_;
@@ -401,7 +379,7 @@ class MemoryController : public MemPort
     std::vector<int> writeBankCount_; ///< By bankIndexOf.
 
     /**
-     * Slot-pool request storage (useBankLists): requests live in a
+     * Slot-pool request storage (useServeHorizon): requests live in a
      * free-listed pool and are threaded onto two intrusive lists each —
      * their bank's and their row's, both in arrival order (seq). The
      * FR pass reads each hit-ready bank's oldest open-row hit straight

@@ -11,8 +11,8 @@
  * simulated state — workloads, core/channel counts, scheme, seeds,
  * instruction targets, VM shape — but deliberately EXCLUDES the
  * execution strategy (kernel mode, paranoia, fault plan, telemetry):
- * all kernels produce bit-identical schedules, so a snapshot taken
- * under Calendar may be resumed under EventSkip or PerCycle.
+ * both kernels produce bit-identical schedules, so a snapshot taken
+ * under Calendar may be resumed under PerCycle and vice versa.
  *
  * The stop flag is the SIGINT/SIGTERM half of graceful shutdown:
  * installStopSignalHandler() arms an async-signal-safe flag that

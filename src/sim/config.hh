@@ -39,10 +39,10 @@ enum class Scheme {
 const char *schemeName(Scheme scheme);
 
 /**
- * Simulation kernel driving System::run(). All kernels produce
+ * Simulation kernel driving System::run(). Both kernels produce
  * bit-identical SystemResult statistics (enforced by
- * tests/test_system.cc); Calendar and EventSkip are strictly
- * wall-clock optimisations. See docs/performance.md for the
+ * tests/test_system.cc); Calendar is strictly a wall-clock
+ * optimisation of PerCycle. See docs/performance.md for the
  * invariants.
  */
 enum class KernelMode {
@@ -55,13 +55,6 @@ enum class KernelMode {
      * with awake-core cycles.
      */
     Calendar,
-    /**
-     * Advance time directly to the next component event horizon
-     * (nextEventAt()), parking stalled cores and idle controllers
-     * instead of ticking them. Kept as a second optimised reference
-     * the calendar kernel is regression-gated against.
-     */
-    EventSkip,
     /** Reference loop: tick every component every cycle (seed loop). */
     PerCycle,
 };
@@ -105,12 +98,15 @@ struct SimConfig {
 
     KernelMode kernel = KernelMode::Calendar;
     /**
-     * Calendar/EventSkip only: execute would-be-skipped ticks anyway
-     * and assert each one is quiescent — a per-cycle-speed equivalence
-     * check of every skip decision (tests/debugging). For Calendar the
-     * kernel additionally shadow-runs the timing wheel and asserts it
-     * would have delivered every self-wake and controller event at
-     * exactly the cycle the per-cycle schedule needs it.
+     * Calendar only (tests/debugging): run the per-cycle schedule
+     * instead, with the calendar kernel shadowed. Every tick the
+     * calendar kernel would have skipped is executed and asserted
+     * quiescent, and the shadowed timing wheel and cached controller
+     * horizons must deliver every self-wake and controller event at
+     * exactly the cycle the per-cycle schedule needs it — an
+     * equivalence check of every park, wake and skip decision at
+     * per-cycle speed. Also asserts every FR-FCFS scan the cached
+     * scheduler horizon skips (CtrlConfig::paranoidSchedule).
      */
     bool kernelParanoid = false;
 

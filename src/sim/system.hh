@@ -198,6 +198,15 @@ class System
     /** Unpark `core` at `now`: settle its bulk stall statistics and put
         it back on the sorted awake list. */
     void calUnpark(int core, CpuCycle now);
+    /** Refresh channel `ch`'s calendar slot — the CPU cycle of its next
+        tick that could do observable work — when an enqueue dirtied it
+        or `force` (right after one of its own ticks). Shared by
+        runCalendar() and the paranoid shadow in run(). */
+    void calPostCtrl(std::vector<CpuCycle> &slots, std::size_t ch,
+                     bool force);
+    /** Post parked `core`'s self-scheduled wake (if any) on `wheel`.
+        Shared by runCalendar() and the paranoid shadow in run(). */
+    void calPostSelfWake(TimingWheel &wheel, int core);
     /** Account `skipped` elided park cycles of `core`: the same
         one-per-cycle stall statistics the per-cycle loop would have
         accrued (plus the LLC-side retry counters for BlockedLlc).
@@ -264,13 +273,6 @@ class System
     std::vector<std::unique_ptr<vm::AddressSpace>> spaces_;
     std::vector<std::unique_ptr<vm::Mmu>> mmus_; ///< Empty when VM off.
     std::vector<std::unique_ptr<cpu::Core>> cores_;
-
-    /**
-     * Raised by the LLC callbacks whenever a completion or line
-     * install touches any core; lets the event kernel skip the whole
-     * core phase of a cycle without polling each core's wake state.
-     */
-    bool wakeSignal_ = false;
 
     /**
      * Calendar kernel state: allocated for the duration of

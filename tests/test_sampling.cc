@@ -2,7 +2,7 @@
  * @file
  * SimPoint-style sampled simulation suite (`trace` ctest label):
  * interval accounting, clustering determinism (across runs AND across
- * the three kernels — functional warming must be a pure function of
+ * both kernels — functional warming must be a pure function of
  * the record streams), parallel slices bit-identical to serial ones,
  * config validation, the in-place warming surfaces, multi-core
  * co-phase sampling, and sampled-vs-full accuracy
@@ -257,7 +257,7 @@ TEST(Sampling, ZeroRecordIntervalJoinsNearestRealCluster)
 TEST(Sampling, DeterministicAcrossKernelsAndRuns)
 {
     // Functional warming is a pure function of the record streams, so
-    // a sampled run must be bit-identical across the three kernels and
+    // a sampled run must be bit-identical across both kernels and
     // across repeat invocations.
     const std::string path = writeAnalyticsTrace(120000);
     trace::SamplingConfig sc;
@@ -266,9 +266,8 @@ TEST(Sampling, DeterministicAcrossKernelsAndRuns)
     sc.maxClusters = 4;
 
     std::vector<trace::SampledResult> rs;
-    for (KernelMode mode : {KernelMode::Calendar, KernelMode::EventSkip,
-                            KernelMode::PerCycle,
-                            KernelMode::Calendar}) {
+    for (KernelMode mode :
+         {KernelMode::Calendar, KernelMode::PerCycle, KernelMode::Calendar}) {
         SimConfig cfg = sampleConfig();
         cfg.kernel = mode;
         trace::SampledSimulation sim(cfg, path, sc);

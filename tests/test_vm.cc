@@ -3,7 +3,7 @@
  * Virtual-memory subsystem tests: TLB replacement, walker level-by-level
  * PTE addresses, allocator determinism, full-system translation flow,
  * and — most load-bearing — kernel equivalence with VM enabled: the
- * PTW-injected DRAM traffic and translation stalls must leave all three
+ * PTW-injected DRAM traffic and translation stalls must leave both
  * simulation kernels bit-identical (CCSIM_PARANOID=1 upgrades the
  * equivalence cases to shadow-validated paranoid configs, exactly like
  * tests/test_system.cc).
@@ -782,9 +782,9 @@ TEST(VmSystem, DeterministicAcrossRuns)
 
 // ---------------------------------------------------------------------
 // Kernel equivalence with VM enabled: TLB-miss stalls, PTE fetches and
-// walk wake-ups ride the existing park/wake machinery, so PerCycle,
-// EventSkip and Calendar must still agree bit for bit — including the
-// new VM/PTW statistics. Named KernelEquivalence.* so the
+// walk wake-ups ride the existing park/wake machinery, so PerCycle and
+// Calendar must still agree bit for bit — including the new VM/PTW
+// statistics. Named KernelEquivalence.* so the
 // `kernel_equivalence_suite` ctest (labels kernel;equivalence) and the
 // CI paranoid job pick these up automatically.
 
@@ -859,47 +859,39 @@ TEST(KernelEquivalence, VmEnabledAllKernelsAgree)
                         workloads);
         sim::SystemResult rr = ref.run();
         ASSERT_GT(rr.vm.walks, 0u) << vm::pageAllocName(alloc);
-        for (sim::KernelMode k :
-             {sim::KernelMode::EventSkip, sim::KernelMode::Calendar}) {
-            sim::System fast(vmTwoCore(sim::Scheme::ChargeCache, k,
-                                       alloc),
-                             workloads);
-            sim::SystemResult rf = fast.run();
-            std::string label = std::string(vm::pageAllocName(alloc)) +
-                                "/" + sim::kernelModeName(k);
-            expectVmResultsIdentical(rr, rf, label.c_str());
-        }
+        sim::System fast(vmTwoCore(sim::Scheme::ChargeCache,
+                                   sim::KernelMode::Calendar, alloc),
+                         workloads);
+        expectVmResultsIdentical(rr, fast.run(),
+                                 vm::pageAllocName(alloc));
     }
 }
 
 TEST(KernelEquivalence, VmParanoidShadowValidates)
 {
-    // Every skip/park/wake decision the event kernels take across
+    // Every skip/park/wake decision the calendar kernel takes across
     // translation stalls and PTE fetch returns is executed-and-asserted
-    // under the per-cycle schedule (the calendar variant additionally
-    // shadow-runs its wheel and cached horizons).
+    // under the per-cycle schedule, with its wheel and cached horizons
+    // shadowed.
     const std::vector<std::string> workloads = {"apache20", "mcf"};
     sim::System ref(vmTwoCore(sim::Scheme::ChargeCache,
                               sim::KernelMode::PerCycle,
                               vm::PageAlloc::Fragmented),
                     workloads);
     sim::SystemResult rr = ref.run();
-    for (sim::KernelMode k :
-         {sim::KernelMode::EventSkip, sim::KernelMode::Calendar}) {
-        sim::SimConfig cfg = vmTwoCore(sim::Scheme::ChargeCache, k,
-                                       vm::PageAlloc::Fragmented);
-        cfg.kernelParanoid = true;
-        sim::System paranoid(cfg, workloads);
-        sim::SystemResult rp = paranoid.run();
-        expectVmResultsIdentical(rr, rp, sim::kernelModeName(k));
-    }
+    sim::SimConfig cfg = vmTwoCore(sim::Scheme::ChargeCache,
+                                   sim::KernelMode::Calendar,
+                                   vm::PageAlloc::Fragmented);
+    cfg.kernelParanoid = true;
+    sim::System paranoid(cfg, workloads);
+    expectVmResultsIdentical(rr, paranoid.run(), "paranoid calendar");
 }
 
 // ---------------------------------------------------------------------
 // Multi-process OS pressure at system level: address-space switches,
 // TLB shootdowns, the page-walk cache and allocator aging, live in a
 // full System run — and, most load-bearing, the OS-pressure
-// equivalence matrix holding all three kernels bit-identical through
+// equivalence matrix holding both kernels bit-identical through
 // Shootdown stalls, switch-induced TLB churn and remap storms.
 
 struct OsPressurePoint {
@@ -1022,9 +1014,9 @@ TEST(MpSystem, AllocatorAgingDegradesHcracHitRate)
 TEST(KernelEquivalence, MultiProcessOsPressureMatrixAllKernelsAgree)
 {
     // The OS-pressure matrix: processes × switch quantum × shootdown
-    // cadence × {PWC, flush-on-switch, aging} against all three
-    // kernels. CCSIM_PARANOID upgrades the event kernels to their
-    // shadow-validated modes.
+    // cadence × {PWC, flush-on-switch, aging} against both kernels.
+    // CCSIM_PARANOID upgrades the calendar kernel to its
+    // shadow-validated mode.
     const std::vector<OsPressurePoint> points = {
         {2, 1200, 0, false, false, false},  // switches only
         {2, 400, 16, false, false, false},  // + frequent shootdowns
@@ -1045,21 +1037,17 @@ TEST(KernelEquivalence, MultiProcessOsPressureMatrixAllKernelsAgree)
         ASSERT_GT(rr.vm.contextSwitches, 0u);
         if (p.remapPeriod)
             ASSERT_GT(rr.vm.shootdownsSent, 0u);
-        for (sim::KernelMode k :
-             {sim::KernelMode::EventSkip, sim::KernelMode::Calendar}) {
-            sim::System fast(mpSystemConfig(p, k), workloads);
-            sim::SystemResult rf = fast.run();
-            test::expectIdenticalResults(rr, rf,
-                                         sim::kernelModeName(k));
-        }
+        sim::System fast(mpSystemConfig(p, sim::KernelMode::Calendar),
+                         workloads);
+        test::expectIdenticalResults(rr, fast.run(), "calendar");
     }
 }
 
 // ---------------------------------------------------------------------
 // Seeded randomized multi-process stress: random OS-pressure
-// configurations, Calendar and EventSkip against the PerCycle
-// reference. CCSIM_PARANOID upgrades the fast kernels to
-// shadow-validated configs (the CI paranoid job path).
+// configurations, Calendar against the PerCycle reference.
+// CCSIM_PARANOID upgrades Calendar to its shadow-validated config (the
+// CI paranoid job path).
 
 TEST(VmStress, RandomizedMultiProcessEquivalence)
 {
@@ -1098,16 +1086,12 @@ TEST(VmStress, RandomizedMultiProcessEquivalence)
         ref_cfg.warmupInsts = 800;
         sim::System ref(ref_cfg, workloads);
         sim::SystemResult rr = ref.run();
-        for (sim::KernelMode k :
-             {sim::KernelMode::EventSkip, sim::KernelMode::Calendar}) {
-            sim::SimConfig cfg = mpSystemConfig(p, k, cores, channels);
-            cfg.targetInsts = 5000;
-            cfg.warmupInsts = 800;
-            sim::System fast(cfg, workloads);
-            sim::SystemResult rf = fast.run();
-            test::expectIdenticalResults(rr, rf,
-                                         sim::kernelModeName(k));
-        }
+        sim::SimConfig cfg = mpSystemConfig(p, sim::KernelMode::Calendar,
+                                            cores, channels);
+        cfg.targetInsts = 5000;
+        cfg.warmupInsts = 800;
+        sim::System fast(cfg, workloads);
+        test::expectIdenticalResults(rr, fast.run(), "calendar");
         if (::testing::Test::HasFailure()) {
             std::fprintf(stderr,
                          "VmStress failed; reproduce with %s\n",
@@ -1197,12 +1181,8 @@ TEST_F(MpFiniteTrace, AllKernelsAgreeThroughShootdownsAcrossWraps)
     EXPECT_GT(percycle.vm.shootdownsSent, 0u);
     EXPECT_GT(percycle.shootdownStallCycles, 0u);
     EXPECT_GT(percycle.xlatStallCycles, 0u);
-    for (sim::KernelMode k :
-         {sim::KernelMode::EventSkip, sim::KernelMode::Calendar}) {
-        sim::SystemResult r = runWith(config(k));
-        test::expectIdenticalResults(percycle, r,
-                                     sim::kernelModeName(k));
-    }
+    test::expectIdenticalResults(
+        percycle, runWith(config(sim::KernelMode::Calendar)), "calendar");
 }
 
 TEST_F(MpFiniteTrace, ParanoidShadowValidatesShootdownParkWake)
@@ -1212,13 +1192,9 @@ TEST_F(MpFiniteTrace, ParanoidShadowValidatesShootdownParkWake)
     // calendar shadow checks its wheel delivered each Shootdown-window
     // wake at exactly the right cycle.
     sim::SystemResult ref = runWith(config(sim::KernelMode::PerCycle));
-    for (sim::KernelMode k :
-         {sim::KernelMode::EventSkip, sim::KernelMode::Calendar}) {
-        sim::SimConfig cfg = config(k);
-        cfg.kernelParanoid = true;
-        sim::SystemResult r = runWith(cfg);
-        test::expectIdenticalResults(ref, r, sim::kernelModeName(k));
-    }
+    sim::SimConfig cfg = config(sim::KernelMode::Calendar);
+    cfg.kernelParanoid = true;
+    test::expectIdenticalResults(ref, runWith(cfg), "paranoid calendar");
 }
 
 } // namespace
