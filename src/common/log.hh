@@ -13,8 +13,8 @@
  *  - Anything triggered by *input* — user configuration, environment
  *    variables, trace files, snapshot files, the filesystem — throws
  *    resilience::SimError with a structured ErrorKind instead, so the
- *    sweep runner can retry transient kinds and bench mains can report
- *    the failure without tearing the process down.
+ *    sweep runner and bench mains can report the failure without
+ *    tearing the process down.
  *  - CCSIM_FATAL remains for unrecoverable setup errors in contexts
  *    where no caller could sensibly continue (e.g. the maxCpuCycles
  *    runaway guard); new input-validation code should prefer SimError.
@@ -125,8 +125,8 @@ void setQuiet(bool quiet);
 
 /**
  * Structured, rate-limited log statement:
- *   CCSIM_LOG(LogLevel::Warn, "sweep", "retrying point ", i);
- * emits "[warn] sweep: retrying point 3". Formatting is skipped
+ *   CCSIM_LOG(LogLevel::Warn, "trace", "skipping record ", i);
+ * emits "[warn] trace: skipping record 3". Formatting is skipped
  * when the level is filtered; each call site self-limits after
  * detail::kLogSiteLimit messages.
  */

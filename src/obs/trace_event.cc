@@ -1,10 +1,7 @@
 #include "obs/trace_event.hh"
 
-#include <chrono>
-#include <functional>
 #include <iomanip>
 #include <sstream>
-#include <thread>
 
 #include "resilience/io.hh"
 
@@ -100,10 +97,7 @@ TraceEventSink::toJson() const
     os << "{\"traceEvents\":[\n";
     os << "{\"ph\":\"M\",\"pid\":" << kPidSim
        << ",\"tid\":0,\"name\":\"process_name\","
-          "\"args\":{\"name\":\"simulated time\"}},\n";
-    os << "{\"ph\":\"M\",\"pid\":" << kPidHost
-       << ",\"tid\":0,\"name\":\"process_name\","
-          "\"args\":{\"name\":\"host wall-clock\"}}";
+          "\"args\":{\"name\":\"simulated time\"}}";
     for (const Event &e : events_) {
         os << ",\n{\"ph\":\"" << e.ph << "\",\"pid\":" << e.pid
            << ",\"tid\":" << e.tid << ",\"name\":\"";
@@ -124,67 +118,6 @@ void
 TraceEventSink::writeJson(const std::string &path) const
 {
     resilience::atomicWriteFile(path, toJson());
-}
-
-HostTracer::HostTracer()
-{
-    epochNs_ = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                   std::chrono::steady_clock::now().time_since_epoch())
-                   .count();
-}
-
-HostTracer &
-HostTracer::instance()
-{
-    static HostTracer tracer;
-    return tracer;
-}
-
-void
-HostTracer::attach(TraceEventSink *sink)
-{
-    sink_.store(sink, std::memory_order_release);
-}
-
-void
-HostTracer::detach()
-{
-    sink_.store(nullptr, std::memory_order_release);
-}
-
-double
-HostTracer::nowUs() const
-{
-    std::uint64_t ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count();
-    return double(ns - epochNs_) / 1e3;
-}
-
-int
-HostTracer::currentTid()
-{
-    std::uint64_t h =
-        std::hash<std::thread::id>{}(std::this_thread::get_id());
-    std::lock_guard<std::mutex> lock(tidMu_);
-    for (std::size_t i = 0; i < tids_.size(); ++i) {
-        if (tids_[i] == h)
-            return int(i);
-    }
-    tids_.push_back(h);
-    return int(tids_.size() - 1);
-}
-
-void
-HostTracer::span(const std::string &name, const char *cat, double t0_us,
-                 double t1_us)
-{
-    TraceEventSink *sink = sink_.load(std::memory_order_acquire);
-    if (!sink)
-        return;
-    sink->complete(kPidHost, currentTid(), name, cat, t0_us,
-                   t1_us - t0_us);
 }
 
 } // namespace ccsim::obs

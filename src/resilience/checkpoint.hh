@@ -10,7 +10,7 @@
  * docs/resilience.md). The config hash covers every knob that shapes
  * simulated state — workloads, core/channel counts, scheme, seeds,
  * instruction targets, VM shape — but deliberately EXCLUDES the
- * execution strategy (kernel mode, paranoia, fault plan, telemetry):
+ * execution strategy (kernel mode, paranoia, telemetry):
  * both kernels produce bit-identical schedules, so a snapshot taken
  * under Calendar may be resumed under PerCycle and vice versa.
  *

@@ -4,10 +4,10 @@
  *
  * SimError is the recoverable counterpart of CCSIM_PANIC/CCSIM_FATAL:
  * anything caused by user input (bad config, malformed trace files,
- * unreadable snapshots), by the environment (I/O, allocation), or by a
- * deliberately injected fault is thrown as a SimError so callers — the
- * sweep runner, bench mains — can catch it, retry, or report it
- * without tearing the process down.
+ * unreadable snapshots) or by the environment (file I/O) is thrown as
+ * a SimError so callers — the sweep runner, bench mains — can catch
+ * and report it without tearing the process down. Nothing retries: a
+ * deterministic simulator fails such errors loudly.
  * Invariant violations stay CCSIM_ASSERT/CCSIM_PANIC (see
  * common/log.hh for the contract).
  *
@@ -24,7 +24,7 @@
 
 namespace ccsim::resilience {
 
-/** What went wrong, at the granularity recovery policy needs. */
+/** What went wrong, at the granularity callers report and test. */
 enum class ErrorKind {
     InvalidConfig,     ///< User-supplied configuration rejected.
     MalformedTrace,    ///< Trace file contents unparseable.
@@ -32,7 +32,6 @@ enum class ErrorKind {
     IoError,           ///< Snapshot/result file I/O failed.
     CorruptSnapshot,   ///< Snapshot failed CRC/version/hash validation.
     Interrupted,       ///< Stop flag (SIGINT/SIGTERM) honored mid-run.
-    ResourceExhausted, ///< Allocation failure (transient, retryable).
     Unsupported,       ///< Operation not available on this object.
 };
 
@@ -46,7 +45,6 @@ errorKindName(ErrorKind kind)
       case ErrorKind::IoError:           return "IoError";
       case ErrorKind::CorruptSnapshot:   return "CorruptSnapshot";
       case ErrorKind::Interrupted:       return "Interrupted";
-      case ErrorKind::ResourceExhausted: return "ResourceExhausted";
       case ErrorKind::Unsupported:       return "Unsupported";
     }
     return "Unknown";
@@ -62,18 +60,6 @@ class SimError : public std::runtime_error
     {}
 
     ErrorKind kind() const { return kind_; }
-
-    /**
-     * Whether a sweep runner may sensibly retry the failed point:
-     * transient resource/I-O conditions are; bad input and corrupted
-     * state are not.
-     */
-    bool
-    retryable() const
-    {
-        return kind_ == ErrorKind::ResourceExhausted ||
-               kind_ == ErrorKind::IoError;
-    }
 
   private:
     ErrorKind kind_;

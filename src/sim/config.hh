@@ -22,7 +22,6 @@
 #include "dram/spec.hh"
 #include "mem/llc.hh"
 #include "obs/obs_config.hh"
-#include "resilience/fault.hh"
 #include "vm/mmu.hh"
 
 namespace ccsim::sim {
@@ -110,12 +109,6 @@ struct SimConfig {
      */
     bool kernelParanoid = false;
 
-    /**
-     * Deterministic fault injection (tests/CI): disabled unless
-     * faults.seed != 0. The plan derives what/when from the seed (see
-     * src/resilience/fault.hh).
-     */
-    resilience::FaultConfig faults;
     /**
      * Telemetry (src/obs/, docs/observability.md): interval
      * time-series, hot-path latency histograms, trace-event export.

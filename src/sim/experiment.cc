@@ -1,6 +1,5 @@
 #include "sim/experiment.hh"
 
-#include <chrono>
 #include <cstdlib>
 #include <future>
 #include <map>
@@ -217,33 +216,10 @@ std::vector<SystemResult>
 runSweep(std::size_t n, const std::function<SystemResult(std::size_t)> &point,
          int threads)
 {
-    // Transient failures (SimError::retryable(): resource exhaustion,
-    // I/O) get a bounded retry with exponential backoff — a sweep of
-    // hundreds of points should not die because one point hit a
-    // momentary allocation or filesystem hiccup. Deterministic errors
-    // (bad config, malformed trace, corrupt data) propagate on first
-    // throw.
-    const int attempts =
-        static_cast<int>(envU64("CCSIM_SWEEP_RETRIES", 2)) + 1;
     std::vector<SystemResult> results(n);
     ParallelRunner pool(threads);
     for (std::size_t i = 0; i < n; ++i)
-        pool.enqueue([i, &point, &results, attempts] {
-            for (int attempt = 1;; ++attempt) {
-                try {
-                    results[i] = point(i);
-                    return;
-                } catch (const resilience::SimError &e) {
-                    if (!e.retryable() || attempt >= attempts)
-                        throw;
-                    auto backoff = std::chrono::milliseconds(
-                        1u << (attempt < 10 ? attempt : 10));
-                    CCSIM_WARN("sweep point ", i, " attempt ", attempt,
-                               " failed (", e.what(), "); retrying");
-                    std::this_thread::sleep_for(backoff);
-                }
-            }
-        });
+        pool.enqueue([i, &point, &results] { results[i] = point(i); });
     pool.waitAll();
     return results;
 }

@@ -122,10 +122,8 @@ class ParallelRunner
 /**
  * Evaluate `point(i)` for i in [0, n) on a temporary pool and return
  * the results in index order — the one-call form the bench figures use.
- * Points that fail with a retryable SimError (resource exhaustion,
- * transient I/O) are retried with exponential backoff, up to
- * CCSIM_SWEEP_RETRIES extra attempts (default 2); deterministic errors
- * propagate immediately.
+ * A point that throws is not retried: the first error is rethrown to
+ * the caller once the pool has drained.
  */
 std::vector<SystemResult>
 runSweep(std::size_t n, const std::function<SystemResult(std::size_t)> &point,

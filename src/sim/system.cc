@@ -17,7 +17,7 @@ namespace {
 
 // Core/channel counts come from user configuration (sweep files, env,
 // CLI), not from internal invariants — report them as structured
-// errors the sweep runner can skip or retry instead of aborting.
+// errors the sweep runner reports to its caller instead of aborting.
 void
 validateCounts(const SimConfig &config, std::size_t sources,
                const char *what)
@@ -118,13 +118,6 @@ void
 System::build(const std::vector<cpu::TraceSource *> &traces)
 {
     traceRefs_ = traces; // Retained for snapshot serialization.
-
-    resilience::FaultPlan fault_plan(config_.faults);
-    if (fault_plan.shouldFailAlloc())
-        throw resilience::SimError(
-            resilience::ErrorKind::ResourceExhausted,
-            "injected allocation failure (fault seed " +
-                std::to_string(config_.faults.seed) + ")");
 
     // Per-channel refresh schedulers first (NUAT is built against them).
     dram::DramSpec chan_spec = spec_;
@@ -381,7 +374,6 @@ System::run()
 {
 #if CCSIM_OBS
     if (tele_) {
-        tele_->attachHost();
         // Fresh runs arm the sample grid at cycle 0; resumed runs
         // carry nextSampleAt in the snapshot (no gap, no duplicate).
         if (!resume_ && tele_->nextSampleAt() == kNoCycle)
@@ -1039,8 +1031,8 @@ System::configHash() const
 {
     // Advisory compatibility check: covers the knobs that shape
     // simulated state, excludes pure execution strategy (kernel mode,
-    // paranoia, fault plan, telemetry) so snapshots resume across
-    // kernels. See resilience/checkpoint.hh.
+    // paranoia, telemetry) so snapshots resume across kernels. See
+    // resilience/checkpoint.hh.
     std::uint64_t h = 0x4343534e41503031ull; // "CCSNAP01"
     auto mix = [&h](std::uint64_t v) { h = mix64(h ^ v); };
     auto mix_str = [&](const std::string &s) {

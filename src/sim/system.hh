@@ -169,7 +169,7 @@ class System
     /**
      * Hash of every configuration knob that shapes simulated state.
      * Deliberately excludes execution strategy (kernel, paranoia,
-     * fault plan, telemetry) so snapshots resume across kernels.
+     * telemetry) so snapshots resume across kernels.
      */
     std::uint64_t configHash() const;
 

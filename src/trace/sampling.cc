@@ -8,7 +8,6 @@
 #include <memory>
 
 #include "common/random.hh"
-#include "obs/trace_event.hh"
 #include "resilience/error.hh"
 #include "sim/experiment.hh"
 #include "trace/replay.hh"
@@ -415,7 +414,6 @@ SampledSimulation::runSlice(const std::vector<IntervalInfo> &ivs,
     if (funcWarm) {
         // SMARTS-style functional warming: replay the window into LLC
         // tag/LRU/dirty state and HCRAC entries, with no timing.
-        obs::HostSpan span("sampling: functional warm", "sampling");
         mem::Llc &llc = sys.llc();
         // One table set per channel; empty unless the scheme carries
         // an HCRAC (every channel runs the same scheme).
@@ -477,7 +475,6 @@ SampledSimulation::runSlice(const std::vector<IntervalInfo> &ivs,
         }
     }
 
-    obs::HostSpan span("sampling: detailed slice", "sampling");
     result = sys.run();
     return functional;
 }
@@ -485,8 +482,8 @@ SampledSimulation::runSlice(const std::vector<IntervalInfo> &ivs,
 int
 sliceWorkers(const obs::ObsConfig &obs, std::size_t slices)
 {
-    if (obs.enable && (obs.hostTrace || !obs.timeSeriesPath.empty() ||
-                       !obs.traceEventPath.empty()))
+    if (obs.enable &&
+        (!obs.timeSeriesPath.empty() || !obs.traceEventPath.empty()))
         return 1;
     return static_cast<int>(std::clamp<std::size_t>(
         slices, 1,
@@ -499,20 +496,11 @@ SampledSimulation::run()
     const int n = config_.nCores;
     SampledResult out;
     std::vector<std::uint64_t> perCoreInsts;
-    {
-        // Host wall-clock spans for the sampled-simulation stages
-        // (no-ops unless a telemetry sink is attached; the detailed
-        // slices attach their own per-System sinks).
-        obs::HostSpan span("sampling: profile", "sampling");
-        out.intervals = profileTrace(perCoreInsts);
-    }
+    out.intervals = profileTrace(perCoreInsts);
     out.totalInsts = 0;
     for (auto v : perCoreInsts)
         out.totalInsts += v;
-    {
-        obs::HostSpan span("sampling: cluster", "sampling");
-        out.clusters = clusterIntervals(out.intervals);
-    }
+    out.clusters = clusterIntervals(out.intervals);
     const auto &ivs = out.intervals;
 
     // 1. Pick the representatives serially, in cluster order: per

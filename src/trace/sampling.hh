@@ -180,10 +180,9 @@ class SampledSimulation
 /**
  * Worker count of a sampled run's slice pool: ParallelRunner's default
  * (CCSIM_THREADS, else every hardware thread) capped at `slices`. One
- * when telemetry reaches outside a slice's System — the process-wide
- * host tracer every System attaches and detaches, or an output file
- * every slice writes under the same name — so those slices run in
- * cluster order, as a serial run would.
+ * when telemetry writes an output file that every slice writes under
+ * the same name, so those slices run in cluster order, as a serial run
+ * would.
  */
 int sliceWorkers(const obs::ObsConfig &obs, std::size_t slices);
 

@@ -45,8 +45,8 @@ class RamulatorTraceReader : public cpu::TraceSource
 
     std::uint64_t linesParsed() const { return linesParsed_; }
 
-    /** Fault injection: report TraceIo truncation after `lines` lines
-        (0 disables). Wired from resilience::FaultPlan by tests. */
+    /** Fault injection (tests): report TraceIo truncation after
+        `lines` lines (0 disables). */
     void injectTruncateAfter(std::uint64_t lines)
     {
         truncateAfter_ = lines;

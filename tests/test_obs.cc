@@ -163,12 +163,6 @@ TEST(ObsEquivalence, OnOffBitIdenticalPerFeature)
              o.histograms = false;
              o.simTrace = true;
          }},
-        {"hostTrace",
-         [](obs::ObsConfig &o) {
-             o.sampleInterval = 0;
-             o.histograms = false;
-             o.hostTrace = true;
-         }},
     };
     for (const Feature &f : features) {
         SimConfig on = obsConfig(false);
@@ -350,9 +344,10 @@ TEST(ObsTrace, JsonHasChromeTraceShape)
     // Bank spans and park spans made it in.
     EXPECT_NE(json.find("\"row\""), std::string::npos);
     EXPECT_NE(json.find("\"refresh\""), std::string::npos);
-    // Process-name metadata for both synthetic pids.
+    // Process-name metadata for the one synthetic pid; there is no
+    // host wall-clock process.
     EXPECT_NE(json.find("simulated time"), std::string::npos);
-    EXPECT_NE(json.find("host wall-clock"), std::string::npos);
+    EXPECT_EQ(json.find("host wall-clock"), std::string::npos);
 
     // Braces and brackets balance (cheap structural validity check;
     // CI additionally runs the file through a real JSON parser).

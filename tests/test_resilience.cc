@@ -12,10 +12,9 @@
  *  - autosave-and-continue identity (the hook itself is schedule-
  *    neutral) and the SIGINT/SIGTERM stop flag (final snapshot, then
  *    SimError{Interrupted});
- *  - deterministic fault injection: seed-derived plans, the injected
- *    allocation failure and the CCSIM_FAULT_* environment contract;
  *  - structured input-validation errors (SimError, not aborts) and
- *    the sweep runner's retry/backoff on retryable kinds;
+ *    the sweep runner's contract: results in index order, and a
+ *    failing point's error reaches the caller without a retry;
  *  - malformed / truncated trace regression tests.
  */
 
@@ -31,7 +30,6 @@
 
 #include "resilience/checkpoint.hh"
 #include "resilience/error.hh"
-#include "resilience/fault.hh"
 #include "resilience/io.hh"
 #include "resilience/serial.hh"
 #include "sim/experiment.hh"
@@ -154,7 +152,6 @@ TEST(Resilience, AtomicFileWriteAndAppend)
         FAIL() << "expected IoError";
     } catch (const SimError &e) {
         EXPECT_EQ(e.kind(), ErrorKind::IoError);
-        EXPECT_TRUE(e.retryable());
     }
     EXPECT_THROW(resilience::readFileBytes("/nonexistent/dir/x.txt"),
                  SimError);
@@ -364,106 +361,7 @@ TEST(Resilience, StopFlagSavesFinalSnapshotAndResumes)
 }
 
 // ---------------------------------------------------------------------
-// Fault injection.
-
-TEST(Resilience, AllocFailureIsRetryableSimError)
-{
-    SimConfig cfg = ckptConfig(KernelMode::Calendar, false);
-    cfg.faults.seed = 7;
-    cfg.faults.kind = resilience::FaultKind::AllocFail;
-    try {
-        System sys(cfg, ckptWorkloads(cfg.nCores));
-        FAIL() << "expected ResourceExhausted";
-    } catch (const SimError &e) {
-        EXPECT_EQ(e.kind(), ErrorKind::ResourceExhausted);
-        EXPECT_TRUE(e.retryable());
-    }
-}
-
-TEST(Resilience, EnvFaultOverridesParse)
-{
-    setenv("CCSIM_FAULT_SEED", "31337", 1);
-    setenv("CCSIM_FAULT_KIND", "trace-truncate", 1);
-    setenv("CCSIM_FAULT_AFTER", "12", 1);
-    resilience::FaultConfig fc;
-    resilience::applyEnvFaults(fc);
-    EXPECT_EQ(fc.seed, 31337u);
-    EXPECT_EQ(fc.kind, resilience::FaultKind::TraceTruncate);
-    EXPECT_EQ(fc.afterCommands, 12u);
-    resilience::FaultPlan pinned(fc);
-    EXPECT_EQ(pinned.traceTruncateAfter(), 12u);
-    EXPECT_FALSE(pinned.shouldFailAlloc());
-
-    // Unpinned kind and injection point derive from the seed alone.
-    setenv("CCSIM_FAULT_KIND", "none", 1);
-    unsetenv("CCSIM_FAULT_AFTER");
-    resilience::FaultConfig derived_cfg;
-    resilience::applyEnvFaults(derived_cfg);
-    EXPECT_EQ(derived_cfg.kind, resilience::FaultKind::None);
-    resilience::FaultPlan derived(derived_cfg);
-    EXPECT_EQ(derived.kind(), resilience::FaultKind::TraceTruncate);
-    EXPECT_EQ(derived.afterCommands(), 34u);
-    EXPECT_EQ(derived.traceTruncateAfter(), 34u);
-    EXPECT_FALSE(derived.shouldFailAlloc());
-
-    // An allocation failure fires at most once per plan.
-    setenv("CCSIM_FAULT_KIND", "alloc-fail", 1);
-    resilience::FaultConfig alloc_cfg;
-    resilience::applyEnvFaults(alloc_cfg);
-    resilience::FaultPlan alloc(alloc_cfg);
-    EXPECT_EQ(alloc.traceTruncateAfter(), 0u);
-    EXPECT_TRUE(alloc.shouldFailAlloc());
-    EXPECT_FALSE(alloc.shouldFailAlloc());
-
-    // Unknown kinds fail loudly rather than inject nothing; that
-    // includes the worker faults, which no longer have a target.
-    for (const char *kind : {"meteor-strike", "worker-death",
-                             "worker-stall", "ring-corrupt"}) {
-        setenv("CCSIM_FAULT_KIND", kind, 1);
-        try {
-            resilience::applyEnvFaults(fc);
-            ADD_FAILURE() << kind << " should have been rejected";
-        } catch (const SimError &e) {
-            EXPECT_EQ(e.kind(), ErrorKind::InvalidConfig) << kind;
-        }
-    }
-    unsetenv("CCSIM_FAULT_SEED");
-    unsetenv("CCSIM_FAULT_KIND");
-}
-
-TEST(Resilience, EnvFaultScalarsRejectGarbage)
-{
-    // strtoull with a nullptr end pointer used to parse these as 0 —
-    // i.e. a typo'd fault spec silently became "no fault injected".
-    // Each scalar must throw InvalidConfig naming the variable.
-    struct Case {
-        const char *name;
-        const char *value;
-    };
-    const Case cases[] = {{"CCSIM_FAULT_SEED", "abc"},
-                          {"CCSIM_FAULT_SEED", "12abc"},
-                          {"CCSIM_FAULT_AFTER", "ten"},
-                          {"CCSIM_FAULT_AFTER", "7 "}};
-    for (const Case &c : cases) {
-        setenv(c.name, c.value, 1);
-        resilience::FaultConfig fc;
-        try {
-            resilience::applyEnvFaults(fc);
-            FAIL() << c.name << "='" << c.value
-                   << "' should have been rejected";
-        } catch (const SimError &e) {
-            EXPECT_EQ(e.kind(), ErrorKind::InvalidConfig);
-            EXPECT_NE(std::string(e.what()).find(c.name),
-                      std::string::npos)
-                << "error must name the offending variable: "
-                << e.what();
-        }
-        unsetenv(c.name);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Structured input validation + sweep retry.
+// Structured input validation + the sweep runner.
 
 TEST(Resilience, ConfigValidationThrowsStructuredErrors)
 {
@@ -474,7 +372,6 @@ TEST(Resilience, ConfigValidationThrowsStructuredErrors)
         FAIL() << "expected InvalidConfig";
     } catch (const SimError &e) {
         EXPECT_EQ(e.kind(), ErrorKind::InvalidConfig);
-        EXPECT_FALSE(e.retryable());
     }
 
     SimConfig cfg2 = ckptConfig(KernelMode::Calendar, false);
@@ -486,35 +383,43 @@ TEST(Resilience, ConfigValidationThrowsStructuredErrors)
     EXPECT_THROW(cfg3.buildSpec(), SimError);
 }
 
-TEST(Resilience, SweepRetriesTransientFailures)
+TEST(Resilience, SweepKeepsIndexOrder)
 {
-    std::atomic<int> attempts{0};
-    auto point = [&](std::size_t i) -> SystemResult {
-        if (i == 1 && attempts.fetch_add(1) == 0)
-            throw SimError(ErrorKind::ResourceExhausted,
-                           "transient allocation failure");
+    auto ok = [](std::size_t i) {
         SystemResult r;
         r.cpuCycles = 100 + i;
         return r;
     };
-    std::vector<SystemResult> out = runSweep(3, point, 2);
-    ASSERT_EQ(out.size(), 3u);
-    EXPECT_EQ(out[1].cpuCycles, 101u);
-    EXPECT_EQ(attempts.load(), 2) << "one failure + one retry";
+    std::vector<SystemResult> out = runSweep(6, ok, 2);
+    ASSERT_EQ(out.size(), 6u);
+    for (std::size_t i = 0; i < out.size(); ++i)
+        EXPECT_EQ(out[i].cpuCycles, 100 + i) << "point " << i;
 }
 
 TEST(Resilience, SweepPropagatesDeterministicErrors)
 {
-    std::atomic<int> calls{0};
-    auto point = [&](std::size_t i) -> SystemResult {
-        if (i == 0) {
-            calls.fetch_add(1);
-            throw SimError(ErrorKind::InvalidConfig, "bad point");
+    // No error is retried: a failing point runs once and its error
+    // reaches the caller, with one worker and with two.
+    for (int threads : {1, 2}) {
+        std::atomic<int> calls{0};
+        auto point = [&](std::size_t i) -> SystemResult {
+            if (i == 3) {
+                calls.fetch_add(1);
+                throw SimError(ErrorKind::IoError, "snapshot write failed");
+            }
+            SystemResult r;
+            r.cpuCycles = 100 + i;
+            return r;
+        };
+        try {
+            runSweep(6, point, threads);
+            FAIL() << "expected IoError at " << threads << " threads";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), ErrorKind::IoError);
         }
-        return SystemResult{};
-    };
-    EXPECT_THROW(runSweep(2, point, 1), SimError);
-    EXPECT_EQ(calls.load(), 1) << "InvalidConfig must not be retried";
+        EXPECT_EQ(calls.load(), 1)
+            << "a failing point must run once at " << threads << " threads";
+    }
 }
 
 TEST(Resilience, EnvScalarValidationThrows)

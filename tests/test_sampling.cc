@@ -427,50 +427,21 @@ TEST(Sampling, ParallelSlicesBitIdentical)
 
 TEST(Sampling, SliceWorkersSerialiseSharedTelemetry)
 {
-    // Slices run concurrently unless telemetry reaches outside their
-    // Systems: the one process-wide host-tracer sink, or an output file
-    // every slice writes under the same name, keeps them on one worker.
+    // Slices run concurrently unless telemetry writes an output file
+    // that every slice writes under the same name: that keeps them on
+    // one worker.
     test::ScopedEnv env("CCSIM_THREADS", "4");
     obs::ObsConfig obs;
     EXPECT_EQ(trace::sliceWorkers(obs, 6), 4);
     EXPECT_EQ(trace::sliceWorkers(obs, 3), 3);
     EXPECT_EQ(trace::sliceWorkers(obs, 0), 1);
-    obs.hostTrace = true; // Inert while telemetry is off.
-    EXPECT_EQ(trace::sliceWorkers(obs, 6), 4);
     obs.enable = true;
-    EXPECT_EQ(trace::sliceWorkers(obs, 6), 1);
-    obs.hostTrace = false;
     EXPECT_EQ(trace::sliceWorkers(obs, 6), 4);
     obs.timeSeriesPath = "series.csv";
     EXPECT_EQ(trace::sliceWorkers(obs, 6), 1);
     obs.timeSeriesPath.clear();
     obs.traceEventPath = "trace.json";
     EXPECT_EQ(trace::sliceWorkers(obs, 6), 1);
-}
-
-TEST(Sampling, HostTracedSlicesMatchUntraced)
-{
-    // Every System with host tracing on attaches its own sink to the
-    // one process-wide HostTracer, so traced slices share one worker.
-    // Telemetry only observes: the result matches an untraced run.
-    const std::string path = writeAnalyticsTrace(120000);
-    trace::SamplingConfig sc;
-    sc.intervalInsts = 40000;
-    sc.warmupInsts = 8000;
-    sc.maxClusters = 4;
-    test::ScopedEnv env("CCSIM_THREADS", "4");
-
-    SimConfig plain = sampleConfig();
-    SimConfig traced = plain;
-    traced.obs.enable = true;
-    traced.obs.hostTrace = true;
-    const trace::SampledResult a =
-        trace::SampledSimulation(plain, path, sc).run();
-    const trace::SampledResult b =
-        trace::SampledSimulation(traced, path, sc).run();
-    ASSERT_GT(a.slices.size(), 1u);
-    expectIdenticalSampled(a, b);
-    std::remove(path.c_str());
 }
 
 TEST(Sampling, SampledTracksFullRunAtTestScale)

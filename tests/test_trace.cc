@@ -202,8 +202,7 @@ TEST(TraceFormat, TruncationReportsTraceIo)
 
 TEST(TraceFormat, InjectTruncateAfterReportsTraceIo)
 {
-    // The binary sibling of the PR-6 RamulatorTraceReader hook
-    // (resilience::FaultPlan::TraceTruncate).
+    // The binary sibling of the RamulatorTraceReader hook.
     const std::string path = tmpPath("itrunc");
     writeAll(path, sampleRecords(500), 64);
     trace::TraceReader rd(path);
